@@ -32,12 +32,7 @@ from .ir import (
     resolve_type_ref,
     serialize_ir,
 )
-from .lattice import (
-    Verdict,
-    exhaustive_fixpoint_oracle,
-    meet,
-    run_fixpoint,
-)
+from .lattice import Verdict, meet, run_fixpoint
 from .parser import (
     CorpusParse,
     ParseDiagnostic,
@@ -90,7 +85,6 @@ __all__ = [
     "build_report",
     "classify_corpus",
     "evaluate_field_type",
-    "exhaustive_fixpoint_oracle",
     "explain",
     "format_count",
     "load_ir",

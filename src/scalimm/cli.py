@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when the input failed to parse or validate
 (diagnostics go to the error stream as ``file:line:col: message``), 2 for
-bad command-line usage.
+bad command-line usage, and 3 when the analyzer itself failed (one
+``internal error: <type>: <message>`` line on the error stream, no
+traceback).
 """
 
 from __future__ import annotations
@@ -168,7 +170,11 @@ def run_cli(argv: list[str]) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    return _run_analyze(args)
+    try:
+        return _run_analyze(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -169,11 +169,13 @@ class TemplateDef:
 
 @dataclass(frozen=True)
 class TemplateGraph:
-    """A whole corpus: name-indexed templates plus the external names they
-    reference.  Immutable after construction."""
+    """A whole corpus: name-indexed templates, the external names they
+    reference and, per template, the graph templates its references
+    resolve to (first mention first).  Immutable after construction."""
 
     templates: dict[str, TemplateDef]
     externals: frozenset[str]
+    dependencies: dict[str, tuple[str, ...]]
 
 
 # ---- resolution -----------------------------------------------------------
@@ -210,6 +212,14 @@ Resolution = Internal | AbstractInScope | Assumed | Unknown
 _UNKNOWN = Unknown()
 
 
+def _abstract_in(scope: TemplateDef, head: str) -> bool:
+    """Whether a single-identifier head names a type parameter or abstract
+    type member of scope, shadowing any equally named template."""
+    return "." not in head and (
+        head in scope.type_params or head in scope.abstract_type_members
+    )
+
+
 def resolve_type_ref(
     graph: TemplateGraph,
     scope: TemplateDef,
@@ -226,9 +236,7 @@ def resolve_type_ref(
     head = ref.head
     if head == INFERRED_HEAD:
         return _UNKNOWN
-    if "." not in head and (
-        head in scope.type_params or head in scope.abstract_type_members
-    ):
+    if _abstract_in(scope, head):
         return AbstractInScope(head)
     if head in graph.templates:
         return Internal(head)
@@ -247,36 +255,20 @@ def iter_type_refs(template: TemplateDef) -> Iterator[TypeRef]:
 
 
 def template_dependencies(graph: TemplateGraph, template: TemplateDef) -> frozenset[str]:
-    """Graph templates whose verdicts can influence this template's transfer.
-
-    Walks every reference (parents and field types, including nested type
-    arguments) and keeps heads that resolve to graph templates in this
-    scope.  Heads shadowed by the template's own type parameters or
-    abstract type members resolve abstract and are not dependencies.
-    """
-    out: set[str] = set()
-
-    def walk(ref: TypeRef) -> None:
-        head = ref.head
-        shadowed = "." not in head and (
-            head in template.type_params or head in template.abstract_type_members
-        )
-        if head != INFERRED_HEAD and not shadowed and head in graph.templates:
-            out.add(head)
-        for a in ref.args:
-            walk(a)
-
-    for ref in iter_type_refs(template):
-        walk(ref)
-    return frozenset(out)
+    """Graph templates whose verdicts can influence this template's transfer:
+    the set form of ``graph.dependencies[template.name]``."""
+    return frozenset(graph.dependencies[template.name])
 
 
 def build_graph(templates: Iterable[TemplateDef]) -> TemplateGraph:
-    """Index templates by name, rejecting duplicates, and compute externals.
+    """Index templates by name, rejecting duplicates, and resolve every
+    reference once.
 
-    Externals are every referenced head that is neither a graph template
-    nor abstract in the referencing scope (the ``$inferred`` placeholder is
-    a marker, not a reference, and is excluded).
+    Each reference node (parents and field types, including nested type
+    arguments) is resolved in its template's scope.  Heads abstract in that
+    scope are neither dependencies nor externals, and the ``$inferred``
+    placeholder is a marker, not a reference.  Every other head is a
+    dependency when it names a graph template and an external otherwise.
     """
     index: dict[str, TemplateDef] = {}
     for t in templates:
@@ -285,21 +277,21 @@ def build_graph(templates: Iterable[TemplateDef]) -> TemplateGraph:
         index[t.name] = t
 
     externals: set[str] = set()
-
-    def walk(ref: TypeRef, scope: TemplateDef) -> None:
-        head = ref.head
-        shadowed = "." not in head and (
-            head in scope.type_params or head in scope.abstract_type_members
-        )
-        if head != INFERRED_HEAD and not shadowed and head not in index:
-            externals.add(head)
-        for a in ref.args:
-            walk(a, scope)
-
+    dependencies: dict[str, tuple[str, ...]] = {}
     for t in index.values():
-        for ref in iter_type_refs(t):
-            walk(ref, t)
-    return TemplateGraph(index, frozenset(externals))
+        internal: dict[str, None] = {}  # insertion-ordered set
+        stack = list(iter_type_refs(t))[::-1]
+        while stack:
+            ref = stack.pop()
+            head = ref.head
+            if head != INFERRED_HEAD and not _abstract_in(t, head):
+                if head in index:
+                    internal[head] = None
+                else:
+                    externals.add(head)
+            stack.extend(reversed(ref.args))
+        dependencies[t.name] = tuple(internal)
+    return TemplateGraph(index, frozenset(externals), dependencies)
 
 
 # ---- serialized form ------------------------------------------------------

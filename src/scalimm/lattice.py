@@ -5,24 +5,16 @@ engine starts every template at the top (deep immutable), repeatedly
 applies a caller-supplied transfer function and lowers cells with the
 meet, so cell values only ever move down and termination is a counting
 argument: each cell can strictly drop at most three times.
-
-``exhaustive_fixpoint_oracle`` computes the same answer by brute force,
-enumerating every assignment and taking the greatest one the transfer
-function leaves fixed.  It shares no code with the engine loop and exists
-to check it.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
-import numpy as np
-
-from .ir import TemplateGraph, iter_type_refs, template_dependencies
+from .ir import TemplateGraph
 
 if TYPE_CHECKING:
     from .classify import AttributeKey, EvidenceRecord
@@ -35,7 +27,6 @@ __all__ = [
     "VERDICT_BY_TOKEN",
     "VERDICT_TOKENS",
     "Verdict",
-    "exhaustive_fixpoint_oracle",
     "meet",
     "run_fixpoint",
 ]
@@ -163,10 +154,12 @@ def run_fixpoint(
     names = list(graph.templates)
     cells: dict[str, Cell] = {name: Cell() for name in names}
 
-    dependents: dict[str, set[str]] = {name: set() for name in names}
+    # Lists in graph order, so the evaluation order (and with it
+    # ``recomputations``) does not depend on string hashing.
+    dependents: dict[str, list[str]] = {name: [] for name in names}
     for name in names:
-        for dep in template_dependencies(graph, graph.templates[name]):
-            dependents[dep].add(name)
+        for dep in graph.dependencies[name]:
+            dependents[dep].append(name)
 
     worklist: list[str] = list(names)
     queued: set[str] = set(worklist)
@@ -210,106 +203,3 @@ def run_fixpoint(
         recomputations=recomputations,
     )
 
-
-# ---- brute-force oracle ---------------------------------------------------
-
-#: Enumerating assignments is 4**n rows; beyond this many templates the
-#: table no longer fits in reasonable memory or time.
-ORACLE_TEMPLATE_LIMIT = 10
-
-_digit_matrix_cache: dict[int, np.ndarray] = {}
-
-
-def _digit_matrix(n: int) -> np.ndarray:
-    """All base-4 words of length n as a (4**n, n) uint8 matrix, most
-    significant digit first."""
-    cached = _digit_matrix_cache.get(n)
-    if cached is None:
-        rows = np.arange(4**n, dtype=np.int64)[:, None]
-        shifts = 2 * np.arange(n - 1, -1, -1, dtype=np.int64)
-        cached = ((rows >> shifts) & 3).astype(np.uint8)
-        _digit_matrix_cache[n] = cached
-    return cached
-
-
-def _mentioned_templates(graph: TemplateGraph, name: str) -> list[str]:
-    """Graph templates mentioned anywhere in a template's parents or field
-    types, shadowed or not.
-
-    This deliberately over-approximates the engine's dependency relation
-    and ignores scope, so the oracle stays independent of that logic: a
-    mentioned name the transfer never reads just adds a constant axis to
-    its table.
-    """
-    template = graph.templates[name]
-    mentioned: set[str] = set()
-
-    def walk(ref) -> None:
-        if ref.head in graph.templates:
-            mentioned.add(ref.head)
-        for a in ref.args:
-            walk(a)
-
-    for ref in iter_type_refs(template):
-        walk(ref)
-    return sorted(mentioned)
-
-
-def exhaustive_fixpoint_oracle(
-    graph: TemplateGraph,
-    transfer: TransferFn,
-) -> dict[str, Verdict]:
-    """Greatest fixpoint of ``transfer`` by enumerating every assignment.
-
-    Tabulates each template's transfer over all combinations of the
-    verdicts it can mention, filters the full assignment space down to
-    exact fixpoints with vectorized table lookups, and returns the
-    pointwise maximum.  That maximum must itself be a fixpoint; if it is
-    not, or no fixpoint exists, the transfer function is not monotone and
-    RuntimeError is raised.
-
-    Only graphs with at most ORACLE_TEMPLATE_LIMIT templates are accepted.
-    """
-    names = list(graph.templates)
-    n = len(names)
-    if n > ORACLE_TEMPLATE_LIMIT:
-        raise ValueError(
-            f"oracle enumerates 4**n assignments; {n} templates exceeds the "
-            f"limit of {ORACLE_TEMPLATE_LIMIT}"
-        )
-    if n == 0:
-        return {}
-
-    column = {name: i for i, name in enumerate(names)}
-    matrix = _digit_matrix(n)
-    mask = np.ones(len(matrix), dtype=bool)
-
-    for i, name in enumerate(names):
-        deps = _mentioned_templates(graph, name)
-        k = len(deps)
-        table = np.empty(4**k, dtype=np.uint8)
-        for combo in itertools.product(range(4), repeat=k):
-            assignment = {d: Verdict(v) for d, v in zip(deps, combo)}
-            flat = 0
-            for v in combo:
-                flat = flat * 4 + v
-            table[flat] = int(transfer(graph, name, assignment).verdict)
-
-        if k:
-            cols = [column[d] for d in deps]
-            weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            flat_all = matrix[:, cols].astype(np.int64) @ weights
-            mask &= table[flat_all] == matrix[:, i]
-        else:
-            mask &= table[0] == matrix[:, i]
-
-    fixed = matrix[mask]
-    if len(fixed) == 0:
-        raise RuntimeError("no fixpoint exists; transfer is not monotone")
-    best = fixed.max(axis=0)
-    if not (fixed == best).all(axis=1).any():
-        raise RuntimeError(
-            "pointwise maximum of fixpoints is not a fixpoint; transfer is "
-            "not monotone"
-        )
-    return {name: Verdict(int(best[i])) for i, name in enumerate(names)}

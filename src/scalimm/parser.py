@@ -542,21 +542,7 @@ class _Parser:
                 names.append(name_tok.text)
             # Bounds, context annotations and higher-kinded shapes are
             # skipped up to the next comma or the closing bracket.
-            depth = 0
-            while True:
-                tok = self._peek()
-                if tok.kind == "eof":
-                    break
-                if tok.kind == "punct":
-                    if tok.text == "[":
-                        depth += 1
-                    elif tok.text == "]":
-                        if depth == 0:
-                            break
-                        depth -= 1
-                    elif tok.text == "," and depth == 0:
-                        break
-                self._advance()
+            self._skip_type_arg_tail()
             if self._at_punct(","):
                 self._advance()
         return tuple(names)
@@ -569,24 +555,9 @@ class _Parser:
             self._advance()
             return
         while True:
-            visibility = Visibility.PUBLIC
+            visibility = self._parse_modifiers()
             explicit_val = False
             explicit_var = False
-            while True:
-                if self._at_kw("private"):
-                    self._advance()
-                    if self._at_punct("["):
-                        self._skip_group("[")  # package-private: public here
-                    else:
-                        visibility = Visibility.PRIVATE
-                elif self._at_kw("protected"):
-                    self._advance()
-                    if self._at_punct("["):
-                        self._skip_group("[")
-                elif self._peek().kind == "kw" and self._peek().text in _SOFT_MODIFIERS:
-                    self._advance()
-                else:
-                    break
             if self._at_kw("val"):
                 self._advance()
                 explicit_val = True
@@ -648,6 +619,22 @@ class _Parser:
             if self._at_punct(")"):
                 self._advance()
             return
+
+    def _parse_modifiers(self) -> Visibility:
+        """Consume access and soft modifiers; return the visibility they
+        give.  Qualified ``private[p]`` and ``protected`` stay public."""
+        visibility = Visibility.PUBLIC
+        while True:
+            if self._at_kw("private", "protected"):
+                private = self._advance().text == "private"
+                if self._at_punct("["):
+                    self._skip_group("[")
+                elif private:
+                    visibility = Visibility.PRIVATE
+            elif self._peek().kind == "kw" and self._peek().text in _SOFT_MODIFIERS:
+                self._advance()
+            else:
+                return visibility
 
     def _skip_param_tail(self) -> None:
         """Skip to the next comma or closing paren of a parameter list."""
@@ -763,23 +750,7 @@ class _Parser:
                 self._advance()
                 return
 
-            visibility = Visibility.PUBLIC
-            while True:
-                if self._at_kw("private"):
-                    self._advance()
-                    if self._at_punct("["):
-                        self._skip_group("[")
-                    else:
-                        visibility = Visibility.PRIVATE
-                elif self._at_kw("protected"):
-                    self._advance()
-                    if self._at_punct("["):
-                        self._skip_group("[")
-                elif self._peek().kind == "kw" and self._peek().text in _SOFT_MODIFIERS:
-                    self._advance()
-                else:
-                    break
-
+            visibility = self._parse_modifiers()
             if self._at_kw("val", "var"):
                 self._parse_field_member(owner, visibility, fields)
             elif self._at_kw("def"):

@@ -6,17 +6,22 @@ properties; ``make_generic_graph`` produces layered acyclic graphs whose
 generics are always fully applied, the shape the monomorphization
 equivalence is stated over.
 
-``naive_fixpoint_oracle`` re-derives the greatest fixpoint with plain
-dictionaries and no vectorization, as an independent check on the
-package's enumeration oracle.  ``monomorphize`` textually instantiates
-every generic use so the substitution semantics can be compared against
-analyzing fully concrete code.
+Two oracles compute the greatest fixpoint without the engine loop.
+``exhaustive_fixpoint_oracle`` enumerates every assignment with numpy
+table lookups; ``naive_fixpoint_oracle`` re-derives it with plain
+dictionaries and no vectorization, as an independent check on the first.
+numpy is a test dependency only; the ``scalimm`` package does not use it.
+``monomorphize`` textually instantiates every generic use so the
+substitution semantics can be compared against analyzing fully concrete
+code.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 
 from scalimm.ir import (
     FieldDecl,
@@ -27,6 +32,7 @@ from scalimm.ir import (
     UNPARAMETERIZED_KINDS,
     Visibility,
     build_graph,
+    iter_type_refs,
 )
 from scalimm.lattice import TransferFn, Verdict
 
@@ -160,6 +166,9 @@ def make_graph(
     return build_graph(templates), assumptions
 
 
+# ---- oracles --------------------------------------------------------------
+
+
 def naive_fixpoint_oracle(
     graph: TemplateGraph,
     transfer: TransferFn,
@@ -193,6 +202,108 @@ def naive_fixpoint_oracle(
     if best is None:
         raise RuntimeError("no fixpoint exists")
     return {name: Verdict(v) for name, v in zip(names, best)}
+
+
+#: Enumerating assignments is 4**n rows; beyond this many templates the
+#: table no longer fits in reasonable memory or time.
+ORACLE_TEMPLATE_LIMIT = 10
+
+_digit_matrix_cache: dict[int, np.ndarray] = {}
+
+
+def _digit_matrix(n: int) -> np.ndarray:
+    """All base-4 words of length n as a (4**n, n) uint8 matrix, most
+    significant digit first."""
+    cached = _digit_matrix_cache.get(n)
+    if cached is None:
+        rows = np.arange(4**n, dtype=np.int64)[:, None]
+        shifts = 2 * np.arange(n - 1, -1, -1, dtype=np.int64)
+        cached = ((rows >> shifts) & 3).astype(np.uint8)
+        _digit_matrix_cache[n] = cached
+    return cached
+
+
+def _mentioned_templates(graph: TemplateGraph, name: str) -> list[str]:
+    """Graph templates mentioned anywhere in a template's parents or field
+    types, shadowed or not.
+
+    This deliberately over-approximates the engine's dependency relation
+    and ignores scope, so the oracle stays independent of that logic: a
+    mentioned name the transfer never reads just adds a constant axis to
+    its table.
+    """
+    template = graph.templates[name]
+    mentioned: set[str] = set()
+
+    def walk(ref) -> None:
+        if ref.head in graph.templates:
+            mentioned.add(ref.head)
+        for a in ref.args:
+            walk(a)
+
+    for ref in iter_type_refs(template):
+        walk(ref)
+    return sorted(mentioned)
+
+
+def exhaustive_fixpoint_oracle(
+    graph: TemplateGraph,
+    transfer: TransferFn,
+) -> dict[str, Verdict]:
+    """Greatest fixpoint of ``transfer`` by enumerating every assignment.
+
+    Tabulates each template's transfer over all combinations of the
+    verdicts it can mention, filters the full assignment space down to
+    exact fixpoints with vectorized table lookups, and returns the
+    pointwise maximum.  That maximum must itself be a fixpoint; if it is
+    not, or no fixpoint exists, the transfer function is not monotone and
+    RuntimeError is raised.
+
+    Only graphs with at most ORACLE_TEMPLATE_LIMIT templates are accepted.
+    """
+    names = list(graph.templates)
+    n = len(names)
+    if n > ORACLE_TEMPLATE_LIMIT:
+        raise ValueError(
+            f"oracle enumerates 4**n assignments; {n} templates exceeds the "
+            f"limit of {ORACLE_TEMPLATE_LIMIT}"
+        )
+    if n == 0:
+        return {}
+
+    column = {name: i for i, name in enumerate(names)}
+    matrix = _digit_matrix(n)
+    mask = np.ones(len(matrix), dtype=bool)
+
+    for i, name in enumerate(names):
+        deps = _mentioned_templates(graph, name)
+        k = len(deps)
+        table = np.empty(4**k, dtype=np.uint8)
+        for combo in itertools.product(range(4), repeat=k):
+            assignment = {d: Verdict(v) for d, v in zip(deps, combo)}
+            flat = 0
+            for v in combo:
+                flat = flat * 4 + v
+            table[flat] = int(transfer(graph, name, assignment).verdict)
+
+        if k:
+            cols = [column[d] for d in deps]
+            weights = 4 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            flat_all = matrix[:, cols].astype(np.int64) @ weights
+            mask &= table[flat_all] == matrix[:, i]
+        else:
+            mask &= table[0] == matrix[:, i]
+
+    fixed = matrix[mask]
+    if len(fixed) == 0:
+        raise RuntimeError("no fixpoint exists; transfer is not monotone")
+    best = fixed.max(axis=0)
+    if not (fixed == best).all(axis=1).any():
+        raise RuntimeError(
+            "pointwise maximum of fixpoints is not a fixpoint; transfer is "
+            "not monotone"
+        )
+    return {name: Verdict(int(best[i])) for i, name in enumerate(names)}
 
 
 # ---- monomorphization ------------------------------------------------------

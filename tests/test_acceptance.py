@@ -34,7 +34,12 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-from graphgen import make_generic_graph, make_graph, monomorphize
+from graphgen import (
+    exhaustive_fixpoint_oracle,
+    make_generic_graph,
+    make_graph,
+    monomorphize,
+)
 from scalimm.classify import (
     MUTABLE_ATTRIBUTES,
     SHALLOW_ATTRIBUTES,
@@ -44,12 +49,7 @@ from scalimm.classify import (
 )
 from scalimm.cli import run_cli
 from scalimm.ir import UNPARAMETERIZED_KINDS, load_ir, serialize_ir
-from scalimm.lattice import (
-    VERDICT_TOKENS,
-    Verdict,
-    exhaustive_fixpoint_oracle,
-    run_fixpoint,
-)
+from scalimm.lattice import VERDICT_TOKENS, Verdict, run_fixpoint
 from scalimm.parser import parse_corpus
 from scalimm.report import build_report, format_count, render_report
 

@@ -1,9 +1,14 @@
 """Command-line driver: exit codes, formats, IR round trips, diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from scalimm import cli
 from scalimm.cli import run_cli
 from scalimm.ir import load_ir, serialize_ir
 from scalimm.parser import parse_corpus
@@ -193,3 +198,26 @@ def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     out = capsys.readouterr().out
     assert "analyze" in out
+
+
+def test_internal_error_exits_three_without_traceback(corpus_file, capsys, monkeypatch):
+    def broken(graph, assumptions=None):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "classify_corpus", broken)
+    code, out, err = run(capsys, ["analyze", corpus_file])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+    assert "Traceback" not in err
+
+
+def test_command_line_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, scalimm.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"

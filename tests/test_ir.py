@@ -192,6 +192,27 @@ def test_template_dependencies_walk_nested_args():
     )
     deps = template_dependencies(graph, graph.templates["A"])
     assert deps == {"P", "B", "C"}
+    assert graph.dependencies == {"A": ("P", "B", "C"), "B": (), "C": (), "P": ()}
+
+
+def test_dependencies_keep_first_mention_order_without_repeats():
+    graph = build_graph(
+        [
+            TemplateDef(
+                name="A",
+                kind=TemplateKind.CLASS,
+                fields=(
+                    val("x", "B", TypeRef("A"), TypeRef("C")),
+                    val("y", "Ext", TypeRef("B")),
+                    val("z", "C"),
+                ),
+            ),
+            TemplateDef(name="B", kind=TemplateKind.CLASS, type_params=("X", "Y")),
+            TemplateDef(name="C", kind=TemplateKind.TRAIT),
+        ]
+    )
+    assert graph.dependencies["A"] == ("B", "A", "C")
+    assert graph.externals == {"Ext"}
 
 
 def test_template_dependencies_skip_shadowed_heads():
@@ -207,6 +228,7 @@ def test_template_dependencies_skip_shadowed_heads():
         ]
     )
     assert template_dependencies(graph, graph.templates["S"]) == frozenset()
+    assert graph.dependencies["S"] == ()
     graph2 = build_graph(
         [
             TemplateDef(name="T", kind=TemplateKind.CLASS),

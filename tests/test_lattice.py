@@ -1,12 +1,16 @@
 """Lattice, cell and fixpoint engine behavior, checked against oracles."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import make_graph, naive_fixpoint_oracle
+from graphgen import exhaustive_fixpoint_oracle, make_graph, naive_fixpoint_oracle
 from scalimm.classify import AttributeKey, make_transfer
 from scalimm.ir import FieldDecl, TemplateDef, TemplateKind, TypeRef, Visibility, build_graph
 from scalimm.lattice import (
@@ -15,7 +19,6 @@ from scalimm.lattice import (
     VERDICT_BY_TOKEN,
     VERDICT_TOKENS,
     Verdict,
-    exhaustive_fixpoint_oracle,
     meet,
     run_fixpoint,
 )
@@ -213,6 +216,48 @@ def test_random_pop_order_gives_identical_results():
             assert shuffled.verdicts == baseline.verdicts
             assert shuffled.attributes == baseline.attributes
             assert shuffled.evidence == baseline.evidence
+
+
+# Dependents are re-queued in an order that must not depend on string
+# hashing.  Small graphs hide a hash-ordered queue (their counts happen to
+# agree); 400 classes with random field types and a few vars do not.
+_RECOMPUTATIONS_PROBE = """
+import random
+from scalimm.classify import make_transfer
+from scalimm.ir import FieldDecl, TemplateDef, TemplateKind, TypeRef, Visibility, build_graph
+from scalimm.lattice import run_fixpoint
+
+rng = random.Random(1)
+names = [f"C{i}" for i in range(400)]
+graph = build_graph(
+    TemplateDef(
+        name=name,
+        kind=TemplateKind.CLASS,
+        fields=tuple(
+            FieldDecl(f"f{j}", rng.random() < 0.03, Visibility.PUBLIC, TypeRef(rng.choice(names)))
+            for j in range(3)
+        ),
+    )
+    for name in names
+)
+print(run_fixpoint(graph, make_transfer()).recomputations)
+"""
+
+
+def test_recomputations_do_not_depend_on_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    counts = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _RECOMPUTATIONS_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        counts.add(int(out))
+    assert len(counts) == 1, f"recomputations vary with PYTHONHASHSEED: {sorted(counts)}"
 
 
 # ---- non-monotone transfer detection --------------------------------------
