@@ -27,6 +27,7 @@ from .ir import (
     resolve_type_ref,
 )
 from .lattice import (
+    VERDICT_BY_TOKEN,
     FixpointResult,
     TransferFn,
     TransferResult,
@@ -418,8 +419,6 @@ def parse_assumptions(text: str) -> dict[str, Verdict]:
 
     Raises ValueError naming the first malformed line.
     """
-    from .lattice import VERDICT_BY_TOKEN
-
     out: dict[str, Verdict] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

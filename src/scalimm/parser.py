@@ -13,8 +13,10 @@ wherever recovery is possible, so one run reports as much as it can.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .ir import (
     FieldDecl,
@@ -124,163 +126,113 @@ _MEMBER_START = frozenset(
     | _SOFT_MODIFIERS
 )
 
-_PUNCT = frozenset("(){}[],.;")
-_OP_CHARS = frozenset("!#%&*+-/:<=>?@\\^|~")
+#: One alternative per token class, each after a skipped run of whitespace
+#: and line comments.  ``end`` lets trailing whitespace end the scan, and
+#: ``bad`` takes any other character, so no text is skipped unseen.
+_TOKEN = re.compile(
+    r'''[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (?:(?P<ident>(?:[^\W\d]|\$)[\w$]*)
+      |(?P<punct>[(){}\[\],.;])
+      |(?P<comment>/\*)
+      |(?P<op>[-!#%&*+/:<=>?@\\^|~]+)
+      |(?P<lit>\d[\w.]*)
+      |(?P<string>"""(?:.*?(?P<closed3>""")|.*)
+                 |"(?:[^"\n\\]|\\.?)*(?P<closed>")?)
+      |(?P<char>'\\.'|'.'|'[\w$]*)
+      |(?P<end>\Z)
+      |(?P<bad>.))''',
+    re.DOTALL | re.VERBOSE,
+)
+_COMMENT_MARK = re.compile(r"/\*|\*/")
+_LITERAL = re.compile(r"\w[\w.]*")
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_$"
-
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "kw" | "punct" | "op" | "lit" | "eof"
     text: str
-    line: int
-    column: int
+    offset: int
 
 
-def _lex(file: str, text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
+def _locator(file: str, text: str) -> Callable[[int], SourcePosition]:
+    """Return the one map from an offset in ``text`` to its position: the
+    line by bisection over the newline offsets, the column in characters."""
+    breaks = [-1, *(m.start() for m in re.finditer("\n", text))]
+
+    def locate(offset: int) -> SourcePosition:
+        line = bisect_left(breaks, offset)
+        return SourcePosition(file, line, offset - breaks[line - 1])
+
+    return locate
+
+
+def _lex(
+    text: str, locate: Callable[[int], SourcePosition]
+) -> tuple[list[_Token], list[ParseDiagnostic]]:
     tokens: list[_Token] = []
     diagnostics: list[ParseDiagnostic] = []
-    i = 0
-    n = len(text)
-    line = 1
-    col = 1
 
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
+    def error(offset: int, message: str) -> None:
+        diagnostics.append(ParseDiagnostic(locate(offset), message))
 
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        if c == "/" and text[i + 1 : i + 2] == "/":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if c == "/" and text[i + 1 : i + 2] == "*":
-            start = SourcePosition(file, line, col)
-            depth = 0
-            while i < n:
-                if text[i : i + 2] == "/*":
-                    depth += 1
-                    advance(2)
-                elif text[i : i + 2] == "*/":
-                    depth -= 1
-                    advance(2)
+    pos = 0
+    while True:  # a block comment or a numeral that is not a letter restarts
+        for m in _TOKEN.finditer(text, pos):
+            kind = m.lastgroup
+            start = m.start(kind)
+            word = m.group(kind)
+            if kind == "ident":
+                if word in _KEYWORDS:
+                    kind = "kw"
+                elif not (word[0].isalpha() or word[0] in "_$"):
+                    # \w also admits numerals that are not letters.  A digit
+                    # such as ² starts a literal; any other, such as Ⅻ, is
+                    # an unexpected character, and so is each one after it.
+                    if word[0].isdigit():
+                        pos = _LITERAL.match(text, start).end()
+                        tokens.append(_Token("lit", text[start:pos], start))
+                    else:
+                        pos = start
+                        for c in word:
+                            if c.isalpha() or c in "_$" or c.isdigit():
+                                break
+                            error(pos, f"unexpected character {c!r}")
+                            pos += 1
+                    break
+            elif kind == "string":
+                if m.group("closed") is None and m.group("closed3") is None:
+                    error(start, "unterminated string literal")
+                kind, word = "lit", '"..."'
+            elif kind == "char":
+                kind, word = "lit", "'...'"
+            elif kind == "comment":
+                depth = 0
+                for mark in _COMMENT_MARK.finditer(text, start):
+                    depth += 1 if mark.group() == "/*" else -1
                     if depth == 0:
+                        pos = mark.end()
                         break
                 else:
-                    advance(1)
-            else:
-                diagnostics.append(ParseDiagnostic(start, "unterminated comment"))
-            continue
-        tok_line, tok_col = line, col
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            kind = "kw" if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, tok_line, tok_col))
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            tokens.append(_Token("lit", word, tok_line, tok_col))
-            continue
-        if c == '"':
-            if text[i : i + 3] == '"""':
-                advance(3)
-                while i < n and text[i : i + 3] != '"""':
-                    advance(1)
-                if i >= n:
-                    diagnostics.append(
-                        ParseDiagnostic(
-                            SourcePosition(file, tok_line, tok_col),
-                            "unterminated string literal",
-                        )
-                    )
-                else:
-                    advance(3)
-            else:
-                advance(1)
-                while i < n and text[i] not in '"\n':
-                    advance(2 if text[i] == "\\" else 1)
-                if i >= n or text[i] == "\n":
-                    diagnostics.append(
-                        ParseDiagnostic(
-                            SourcePosition(file, tok_line, tok_col),
-                            "unterminated string literal",
-                        )
-                    )
-                else:
-                    advance(1)
-            tokens.append(_Token("lit", '"..."', tok_line, tok_col))
-            continue
-        if c == "'":
-            if text[i + 1 : i + 2] == "\\" and text[i + 3 : i + 4] == "'":
-                advance(4)
-            elif text[i + 2 : i + 3] == "'":
-                advance(3)
-            else:
-                # Symbol literal: a quote followed by an identifier.
-                advance(1)
-                while i < n and _is_ident_char(text[i]):
-                    advance(1)
-            tokens.append(_Token("lit", "'...'", tok_line, tok_col))
-            continue
-        if c in _PUNCT:
-            advance(1)
-            tokens.append(_Token("punct", c, tok_line, tok_col))
-            continue
-        if c in _OP_CHARS:
-            j = i
-            while j < n and text[j] in _OP_CHARS:
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            tokens.append(_Token("op", word, tok_line, tok_col))
-            continue
-        diagnostics.append(
-            ParseDiagnostic(
-                SourcePosition(file, tok_line, tok_col),
-                f"unexpected character {c!r}",
-            )
-        )
-        advance(1)
-
-    tokens.append(_Token("eof", "", line, col))
-    return tokens, diagnostics
+                    error(start, "unterminated comment")
+                    pos = len(text)
+                break
+            elif kind == "bad":
+                error(start, f"unexpected character {word!r}")
+                continue
+            elif kind == "end":
+                tokens.append(_Token("eof", "", start))
+                return tokens, diagnostics
+            tokens.append(_Token(kind, word, start))
 
 
 # ---- parser ---------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, file: str, tokens: list[_Token]) -> None:
-        self.file = file
-        self.tokens = tokens
+    def __init__(self, file: str, text: str) -> None:
+        self._locate = _locator(file, text)
+        self.tokens, self.diagnostics = _lex(text, self._locate)
         self.pos = 0
         self.templates: list[TemplateDef | None] = []
-        self.diagnostics: list[ParseDiagnostic] = []
         self.positions: dict[str, SourcePosition] = {}
         self._anon_counters: dict[str, int] = {}
 
@@ -309,7 +261,7 @@ class _Parser:
         return tok.kind == "op" and tok.text == text
 
     def _position(self, tok: _Token) -> SourcePosition:
-        return SourcePosition(self.file, tok.line, tok.column)
+        return self._locate(tok.offset)
 
     def _error(self, tok: _Token, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(self._position(tok), message))
@@ -878,9 +830,7 @@ def parse_source(file: str, text: str) -> ParseResult:
     Recovery keeps going after errors, so both lists can be non-empty;
     the parse succeeded only when diagnostics is empty.
     """
-    tokens, diagnostics = _lex(file, text)
-    parser = _Parser(file, tokens)
-    parser.diagnostics.extend(diagnostics)
+    parser = _Parser(file, text)
     parser.parse_file()
     templates = [t for t in parser.templates if t is not None]
     return ParseResult(templates, parser.diagnostics, parser.positions)

@@ -1,4 +1,8 @@
-"""Frontend parsing: grammar coverage, desugaring, synthesis, recovery."""
+"""Frontend parsing: lexing, grammar, desugaring, synthesis, recovery."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalimm.ir import INFERRED_HEAD, TemplateKind, TypeRef, Visibility
 from scalimm.parser import parse_corpus, parse_source
@@ -277,6 +281,131 @@ def test_duplicate_fields_in_source_become_a_diagnostic():
 def test_unbalanced_body_reports_missing_brace():
     result = parse_source("open.scala", "class C { val x: Int = 1")
     assert any("expected '}'" in d.message for d in result.diagnostics)
+
+
+# ---- lexical diagnostics ---------------------------------------------------
+
+#: Source text and the exact diagnostics it gives, one case per lexical
+#: rule whose position or message the recursive descent cannot hide.
+#: Lexical diagnostics come first, then the grammar's.
+LEXICAL_CASES = {
+    "unterminated comment": (
+        "class A /* open",
+        ["f:1:9: unterminated comment"],
+    ),
+    "nested comment open at end of input": (
+        "class A { /* /* */ val x: Int }",
+        [
+            "f:1:11: unterminated comment",
+            "f:1:32: unexpected end of input, expected '}'",
+        ],
+    ),
+    "string open at end of line": (
+        'class A { val s = "abc\n}',
+        ["f:1:19: unterminated string literal"],
+    ),
+    "string open at end of input": (
+        'class A { val s = "abc',
+        [
+            "f:1:19: unterminated string literal",
+            "f:1:23: unexpected end of input, expected '}'",
+        ],
+    ),
+    "triple-quoted string open at end of input": (
+        'class A { val s = """abc\n" "" }',
+        [
+            "f:1:19: unterminated string literal",
+            "f:2:7: unexpected end of input, expected '}'",
+        ],
+    ),
+    "nul character": (
+        "class A\x00 { }",
+        ["f:1:8: unexpected character '\\x00'"],
+    ),
+    "numeral that is not a letter or a digit": (
+        "class A { val Ⅻ = 1; val y: Ⅻb; val z: ⅫⅫ²Ⅻ.x }",
+        [
+            "f:1:15: unexpected character 'Ⅻ'",
+            "f:1:29: unexpected character 'Ⅻ'",
+            "f:1:40: unexpected character 'Ⅻ'",
+            "f:1:41: unexpected character 'Ⅻ'",
+            "f:1:17: expected identifier, got '='",
+            "f:1:42: expected a type, got '²Ⅻ.x'",
+        ],
+    ),
+    "columns after tabs": (
+        "class A {\n\tval x = 1\n\t} }",
+        ["f:3:4: expected a class, trait or object definition, got '}'"],
+    ),
+    "columns after CRLF line ends": (
+        "class A {\r\n  val x: Int\r\n  ? }\r\n",
+        ["f:3:3: expected a member, got '?'"],
+    ),
+    "backslash-newline inside a string": (
+        'class A\n"a\\\nb"class B ?',
+        [
+            "f:2:1: expected a class, trait or object definition, got '\"...\"'",
+            "f:3:11: expected a class, trait or object definition, got '?'",
+        ],
+    ),
+    "char literals and a symbol": (
+        "class A '\\''class B 'a'class C 'sym class D",
+        [
+            "f:1:9: expected a class, trait or object definition, got \"'...'\"",
+            "f:1:21: expected a class, trait or object definition, got \"'...'\"",
+            "f:1:32: expected a class, trait or object definition, got \"'...'\"",
+        ],
+    ),
+    "superscript digit starts a literal": (
+        "class A { val y: ²1.x$ }",
+        ["f:1:18: expected a type, got '²1.x'"],
+    ),
+    "line comment and whitespace at end of input": (
+        "class A { // done  \n  \t",
+        ["f:2:4: unexpected end of input, expected '}'"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, expected", LEXICAL_CASES.values(), ids=LEXICAL_CASES.keys()
+)
+def test_lexical_diagnostics(text, expected):
+    result = parse_source("f", text)
+    assert [str(d) for d in result.diagnostics] == expected
+
+
+def test_end_of_input_after_trailing_backslash_stays_inside_the_file():
+    text = 'class A { val s = "abc\\'
+    assert len(text) == 23
+    result = parse_source("f", text)
+    assert [str(d) for d in result.diagnostics] == [
+        "f:1:19: unterminated string literal",
+        "f:1:24: unexpected end of input, expected '}'",
+    ]
+
+
+SOUP_FRAGMENTS = [
+    "class", "trait", "object", "case", "val", "var", "def", "type",
+    "extends", "with", "new", "private", "lazy", "A", "b", "Int", "1",
+    "[", "]", "(", ")", "{", "}", ",", ".", ";", ":", "=", "<:", "+",
+    '"', '"""', "'", "/*", "*/", "//", "\\", " ", "\t", "\n", "\r\n",
+    "²", "Ⅻ", "\x00",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_FRAGMENTS), max_size=100).map("".join))
+@example('class A { val s = "abc\\')
+def test_token_soup_never_raises_and_positions_lie_inside_the_file(text):
+    result = parse_source("soup.scala", text)
+    lines = text.split("\n")
+    for diagnostic in result.diagnostics:
+        position = diagnostic.position
+        assert 1 <= position.line <= len(lines), str(diagnostic)
+        assert 1 <= position.column <= len(lines[position.line - 1]) + 1, str(
+            diagnostic
+        )
 
 
 # ---- corpus merging -------------------------------------------------------
