@@ -10,6 +10,7 @@ argument: each cell can strictly drop at most three times.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
@@ -72,7 +73,9 @@ class TransferResult(NamedTuple):
 
 #: Transfer functions compute a template's verdict from the current
 #: assignment of verdicts to all templates.  They must be monotone in the
-#: assignment and may read it only at names defined in the graph.
+#: assignment and may read it only at names defined in the graph.  The
+#: mapping is the engine's live assignment, not a copy: it is read-only
+#: to the transfer and valid only for the duration of the call.
 TransferFn = Callable[[TemplateGraph, str, Mapping[str, "Verdict"]], TransferResult]
 
 
@@ -146,6 +149,11 @@ def run_fixpoint(
     uniformly at random instead, which perturbs evaluation order without
     affecting the result and is how order-independence gets exercised.
 
+    ``transfer`` receives the engine's one live assignment, which is
+    updated in place whenever a cell drops, so each step costs only the
+    transfer itself.  The transfer must not modify the mapping or keep it
+    past the call.
+
     After the list drains, the transfer function is evaluated once more
     per template at the final assignment.  A verdict that disagrees with
     the settled cell means the transfer function is not monotone, which is
@@ -161,20 +169,27 @@ def run_fixpoint(
         for dep in graph.dependencies[name]:
             dependents[dep].append(name)
 
-    worklist: list[str] = list(names)
-    queued: set[str] = set(worklist)
+    # Mirrors the cell values; written only when a cell changes.
+    assignment: dict[str, Verdict] = dict.fromkeys(names, Verdict.DEEP_IMMUTABLE)
+    worklist: deque[str] = deque(names)
+    queued: set[str] = set(names)
     recomputations = 0
 
     while worklist:
-        index = rng.randrange(len(worklist)) if rng is not None else 0
-        name = worklist.pop(index)
+        if rng is None:
+            name = worklist.popleft()
+        else:
+            index = rng.randrange(len(worklist))
+            worklist[index], worklist[-1] = worklist[-1], worklist[index]
+            name = worklist.pop()
         queued.discard(name)
 
-        assignment = {n: c.value for n, c in cells.items()}
         result = transfer(graph, name, assignment)
         recomputations += 1
 
-        if cells[name].downgrade(result.verdict, result.attributes):
+        cell = cells[name]
+        if cell.downgrade(result.verdict, result.attributes):
+            assignment[name] = cell.value
             for dep in dependents[name]:
                 if dep not in queued:
                     worklist.append(dep)

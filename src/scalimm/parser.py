@@ -126,6 +126,13 @@ _MEMBER_START = frozenset(
     | _SOFT_MODIFIERS
 )
 
+#: What ends a skipped tail at bracket depth 0: an opaque member tail
+#: (the semicolon is consumed too) and a parameter's type or default.
+_MEMBER_TAIL_STOPS = _MEMBER_START | {";"}
+_PARAM_TAIL_STOPS = frozenset({","})
+
+_OPENER = {")": "(", "]": "[", "}": "{"}
+
 #: One alternative per token class, each after a skipped run of whitespace
 #: and line comments.  ``end`` lets trailing whitespace end the scan, and
 #: ``bad`` takes any other character, so no text is skipped unseen.
@@ -305,45 +312,38 @@ class _Parser:
                         return
             self._advance()
 
-    def _skip_member_tail(self) -> None:
-        """Skip an opaque expression or definition tail.
+    def _skip_until(self, stops: frozenset[str]) -> None:
+        """Skip tokens up to a keyword or punctuation mark in ``stops`` at
+        bracket depth 0, an unbalanced closing bracket or end of input.
 
-        Stops before a token that can begin the next member, before an
-        unbalanced closing bracket, or after a semicolon, tracking nesting
-        so braces and keywords inside the expression do not end the skip.
+        ( ), [ ] and { } are counted separately, so stop tokens nested
+        inside an expression or argument list do not end the skip.
         """
-        parens = brackets = braces = 0
+        depth = {"(": 0, "[": 0, "{": 0}
         while True:
             tok = self._peek()
             if tok.kind == "eof":
                 return
-            if parens == 0 and brackets == 0 and braces == 0:
-                if tok.kind == "kw" and tok.text in _MEMBER_START:
+            if tok.kind in ("kw", "punct"):
+                if tok.text in stops and not any(depth.values()):
                     return
-                if tok.kind == "punct" and tok.text == ";":
-                    self._advance()
-                    return
-                if tok.kind == "punct" and tok.text in ")]}":
-                    return
-            if tok.kind == "punct":
-                if tok.text == "(":
-                    parens += 1
-                elif tok.text == ")":
-                    if parens == 0:
+                if tok.text in depth:
+                    depth[tok.text] += 1
+                elif tok.text in _OPENER:
+                    opener = _OPENER[tok.text]
+                    if depth[opener] == 0:
                         return
-                    parens -= 1
-                elif tok.text == "[":
-                    brackets += 1
-                elif tok.text == "]":
-                    if brackets == 0:
-                        return
-                    brackets -= 1
-                elif tok.text == "{":
-                    braces += 1
-                elif tok.text == "}":
-                    if braces == 0:
-                        return
-                    braces -= 1
+                    depth[opener] -= 1
+            self._advance()
+
+    def _skip_member_tail(self) -> None:
+        """Skip an opaque expression or definition tail.
+
+        Stops before a token that can begin the next member or before an
+        unbalanced closing bracket, or after a semicolon.
+        """
+        self._skip_until(_MEMBER_TAIL_STOPS)
+        if self._at_punct(";"):
             self._advance()
 
     def _skip_to_template_start(self) -> None:
@@ -530,10 +530,10 @@ class _Parser:
                         f"{self._describe(tok)}"
                     )
             if declared is None:
-                self._skip_param_tail()
+                self._skip_until(_PARAM_TAIL_STOPS)
             elif self._at_op("="):
                 self._advance()
-                self._skip_param_tail()
+                self._skip_until(_PARAM_TAIL_STOPS)
 
             if fields is not None and name_tok is not None:
                 is_field = explicit_val or explicit_var
@@ -564,7 +564,7 @@ class _Parser:
             self._error(
                 tok, f"expected ',' or ')', got {self._describe(tok)}"
             )
-            self._skip_param_tail()
+            self._skip_until(_PARAM_TAIL_STOPS)
             if self._at_punct(","):
                 self._advance()
                 continue
@@ -587,36 +587,6 @@ class _Parser:
                 self._advance()
             else:
                 return visibility
-
-    def _skip_param_tail(self) -> None:
-        """Skip to the next comma or closing paren of a parameter list."""
-        parens = brackets = braces = 0
-        while True:
-            tok = self._peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "punct":
-                if tok.text == "," and parens == brackets == braces == 0:
-                    return
-                if tok.text == "(":
-                    parens += 1
-                elif tok.text == ")":
-                    if parens == 0:
-                        return
-                    parens -= 1
-                elif tok.text == "[":
-                    brackets += 1
-                elif tok.text == "]":
-                    if brackets == 0:
-                        return
-                    brackets -= 1
-                elif tok.text == "{":
-                    braces += 1
-                elif tok.text == "}":
-                    if braces == 0:
-                        return
-                    braces -= 1
-            self._advance()
 
     def _parse_typeref(self) -> TypeRef | None:
         name_tok = self._peek()

@@ -6,10 +6,13 @@ properties; ``make_generic_graph`` produces layered acyclic graphs whose
 generics are always fully applied, the shape the monomorphization
 equivalence is stated over.
 
-Two oracles compute the greatest fixpoint without the engine loop.
+Three oracles compute the greatest fixpoint without the engine loop.
 ``exhaustive_fixpoint_oracle`` enumerates every assignment with numpy
 table lookups; ``naive_fixpoint_oracle`` re-derives it with plain
 dictionaries and no vectorization, as an independent check on the first.
+Both are limited to tiny graphs.  ``kleene_fixpoint`` iterates downward
+from the top in whole rounds, so it scales to graphs of any size and
+also reproduces the engine's attributes and evidence.
 numpy is a test dependency only; the ``scalimm`` package does not use it.
 ``monomorphize`` textually instantiates every generic use so the
 substitution semantics can be compared against analyzing fully concrete
@@ -34,7 +37,7 @@ from scalimm.ir import (
     build_graph,
     iter_type_refs,
 )
-from scalimm.lattice import TransferFn, Verdict
+from scalimm.lattice import TransferFn, Verdict, meet
 
 _ASSUMED_VERDICTS = (
     Verdict.MUTABLE,
@@ -56,6 +59,7 @@ _ALL_KINDS = (
 def make_graph(
     rng: random.Random,
     *,
+    min_templates: int = 1,
     max_templates: int = 8,
     mention_cap: int = 3,
 ) -> tuple[TemplateGraph, dict[str, Verdict]]:
@@ -66,7 +70,7 @@ def make_graph(
     oracle's per-template tables stay small.  Parent heads never collide
     with the template's own abstract names, keeping inputs well formed.
     """
-    n = rng.randint(1, max_templates)
+    n = rng.randint(min_templates, max_templates)
     names = [f"G{i}" for i in range(n)]
 
     assumptions: dict[str, Verdict] = {}
@@ -202,6 +206,37 @@ def naive_fixpoint_oracle(
     if best is None:
         raise RuntimeError("no fixpoint exists")
     return {name: Verdict(v) for name, v in zip(names, best)}
+
+
+def kleene_fixpoint(
+    graph: TemplateGraph,
+    transfer: TransferFn,
+) -> tuple[dict[str, Verdict], dict[str, frozenset], dict[str, tuple]]:
+    """Greatest fixpoint by round-robin Kleene iteration from the top.
+
+    Each round evaluates every template against a copy of the previous
+    round's assignment and meets the result in; iteration stops after a
+    round that changes nothing.  There is no worklist, no dependency
+    index and no cell, so the result is independent of the engine's
+    bookkeeping.  Attributes and evidence come from one final transfer
+    per template at the fixpoint, as the engine defines them.
+    """
+    names = list(graph.templates)
+    assignment = dict.fromkeys(names, Verdict.DEEP_IMMUTABLE)
+    changed = True
+    while changed:
+        previous = dict(assignment)
+        for name in names:
+            assignment[name] = meet(
+                previous[name], transfer(graph, name, previous).verdict
+            )
+        changed = assignment != previous
+    final = {name: transfer(graph, name, assignment) for name in names}
+    return (
+        assignment,
+        {name: r.attributes for name, r in final.items()},
+        {name: r.evidence for name, r in final.items()},
+    )
 
 
 #: Enumerating assignments is 4**n rows; beyond this many templates the

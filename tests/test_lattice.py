@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import exhaustive_fixpoint_oracle, make_graph, naive_fixpoint_oracle
+from graphgen import (
+    exhaustive_fixpoint_oracle,
+    kleene_fixpoint,
+    make_generic_graph,
+    make_graph,
+    naive_fixpoint_oracle,
+)
 from scalimm.classify import AttributeKey, make_transfer
 from scalimm.ir import FieldDecl, TemplateDef, TemplateKind, TypeRef, Visibility, build_graph
 from scalimm.lattice import (
@@ -216,6 +222,68 @@ def test_random_pop_order_gives_identical_results():
             assert shuffled.verdicts == baseline.verdicts
             assert shuffled.attributes == baseline.attributes
             assert shuffled.evidence == baseline.evidence
+
+
+def _random_class_graph(n, seed):
+    """``n`` classes with three fields each, typed by a random class of
+    the graph; about one field in thirty is a ``var``."""
+    rng = random.Random(seed)
+    names = [f"C{i}" for i in range(n)]
+    return build_graph(
+        mk_class(
+            name,
+            fields=[
+                mk_field(f"f{j}", rng.choice(names), var=rng.random() < 0.03)
+                for j in range(3)
+            ],
+        )
+        for name in names
+    )
+
+
+# A deterministic stand-in for a wall-clock gate: the engine is linear in
+# graph size because the work it does is bounded by the lattice.  Every
+# template is evaluated once from the seeded worklist (n).  After that,
+# a template is evaluated again only because it was re-queued, and it is
+# re-queued only when one of its dependencies' cells changed.  A cell
+# changes at most 13 times: its value can drop strictly three times
+# (deep -> conditionally deep -> shallow -> mutable), and every other
+# change adds at least one of the ten attribute letters A-J.  A change of
+# cell d re-queues each dependent of d at most once, so the re-queues
+# total at most 13 * sum(|dependents of d|) = 13 * edges.
+def _assert_within_change_bound(graph, result):
+    edges = sum(len(deps) for deps in graph.dependencies.values())
+    bound = len(graph.templates) + 13 * edges
+    assert result.recomputations <= bound, (result.recomputations, bound)
+
+
+def test_recomputations_stay_within_the_change_bound():
+    rng = random.Random(2024)
+    for _ in range(12):
+        graph, assumptions = make_graph(rng, max_templates=600, mention_cap=6)
+        transfer = make_transfer(assumptions)
+        _assert_within_change_bound(graph, run_fixpoint(graph, transfer))
+        _assert_within_change_bound(
+            graph, run_fixpoint(graph, transfer, rng=random.Random(7))
+        )
+    graph = _random_class_graph(2000, seed=5)
+    _assert_within_change_bound(graph, run_fixpoint(graph, make_transfer()))
+
+
+def test_engine_matches_kleene_iteration_on_large_graphs():
+    rng = random.Random(4242)
+    cases = [
+        make_graph(rng, min_templates=300, max_templates=600, mention_cap=6)
+        for _ in range(4)
+    ]
+    cases += [make_generic_graph(rng, max_templates=400) for _ in range(4)]
+    cases.append((_random_class_graph(1000, seed=9), {}))
+    for graph, assumptions in cases:
+        transfer = make_transfer(assumptions)
+        expected = kleene_fixpoint(graph, transfer)
+        for order in (None, random.Random(0), random.Random(1), random.Random(2)):
+            result = run_fixpoint(graph, transfer, rng=order)
+            assert (result.verdicts, result.attributes, result.evidence) == expected
 
 
 # Dependents are re-queued in an order that must not depend on string

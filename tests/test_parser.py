@@ -4,7 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalimm.ir import INFERRED_HEAD, TemplateKind, TypeRef, Visibility
+from scalimm.classify import ClassificationError, classify_corpus
+from scalimm.ir import (
+    INFERRED_HEAD,
+    TemplateKind,
+    TypeRef,
+    Visibility,
+    build_graph,
+    load_ir,
+    serialize_ir,
+)
 from scalimm.parser import parse_corpus, parse_source
 
 
@@ -406,6 +415,82 @@ def test_token_soup_never_raises_and_positions_lie_inside_the_file(text):
         assert 1 <= position.column <= len(lines[position.line - 1]) + 1, str(
             diagnostic
         )
+
+
+# Well-formed building blocks for whole templates, so that a good share of
+# generated files parse cleanly; a soup fragment is sometimes spliced in
+# between templates to push some of them onto the recovery paths.
+_HEADS = ["T0", "T1", "T2", "T3", "X", "ext.Int", "lib.Box", "lib.Cell"]
+
+
+@st.composite
+def _type_text(draw, depth=0):
+    head = draw(st.sampled_from(_HEADS))
+    if depth < 2 and draw(st.booleans()):
+        args = draw(st.lists(_type_text(depth + 1), min_size=1, max_size=2))
+        return f"{head}[{', '.join(args)}]"
+    return head
+
+
+@st.composite
+def _member_text(draw, index):
+    kind = draw(st.sampled_from(["val", "val", "private val", "var", "private var"]))
+    shape = draw(st.sampled_from(["typed", "inferred", "anon"]))
+    if shape == "typed":
+        return f"{kind} m{index}: {draw(_type_text())} = f()"
+    if shape == "inferred":
+        return f"{kind} m{index} = f()"
+    inner = draw(_type_text())
+    return f"{kind} m{index} = new {draw(_type_text())} {{ val q: {inner} = g() }}"
+
+
+@st.composite
+def _template_text(draw, index):
+    keyword = draw(
+        st.sampled_from(["class", "case class", "trait", "object", "case object"])
+    )
+    text = f"{keyword} T{index}"
+    if keyword in ("class", "case class", "trait") and draw(st.booleans()):
+        text += "[X]"
+    if keyword in ("class", "case class") and draw(st.booleans()):
+        binder = draw(st.sampled_from(["val", "val", "var"]))
+        text += f"({binder} p: {draw(_type_text())})"
+    parents = draw(st.lists(_type_text(), max_size=2))
+    if parents:
+        text += " extends " + " with ".join(parents)
+    members = [draw(_member_text(i)) for i in range(draw(st.integers(0, 3)))]
+    if members or draw(st.booleans()):
+        text += " { " + "; ".join(members) + " }"
+    return text
+
+
+@st.composite
+def _fragment_file(draw):
+    pieces = []
+    for index in range(draw(st.integers(0, 4))):
+        pieces.append(draw(_template_text(index)))
+        if draw(st.integers(0, 9)) == 0:
+            pieces.append(draw(st.sampled_from(SOUP_FRAGMENTS)))
+    return "\n".join(pieces)
+
+
+def _classification(graph):
+    try:
+        return classify_corpus(graph)
+    except ClassificationError as error:
+        return str(error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fragment_file())
+@example("class T0[X](val p: X) extends T1 { var m0: T2 = f() }\ntrait T1\nclass T2")
+def test_serialized_parse_classifies_like_the_parse(text):
+    result = parse_source("gen.scala", text)
+    if result.diagnostics:
+        return
+    graph = build_graph(result.templates)
+    loaded = load_ir(serialize_ir(graph))
+    assert _classification(loaded) == _classification(graph)
 
 
 # ---- corpus merging -------------------------------------------------------
