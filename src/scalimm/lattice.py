@@ -1,17 +1,18 @@
-"""Verdict lattice, analysis cells and the worklist fixpoint engine.
+"""Verdict lattice and the worklist fixpoint engine.
 
 Verdicts form a four-point total order under "less immutable than".  The
 engine starts every template at the top (deep immutable), repeatedly
-applies a caller-supplied transfer function and lowers cells with the
-meet, so cell values only ever move down and termination is a counting
-argument: each cell can strictly drop at most three times.
+applies a caller-supplied transfer function and lowers a template's
+verdict only when the transfer gives a strictly lower one, so verdicts
+only ever move down and termination is a counting argument: each
+template's verdict can strictly drop at most three times.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
@@ -21,7 +22,6 @@ if TYPE_CHECKING:
     from .classify import AttributeKey, EvidenceRecord
 
 __all__ = [
-    "Cell",
     "FixpointResult",
     "TransferFn",
     "TransferResult",
@@ -79,52 +79,17 @@ class TransferResult(NamedTuple):
 TransferFn = Callable[[TemplateGraph, str, Mapping[str, "Verdict"]], TransferResult]
 
 
-@dataclass
-class Cell:
-    """Mutable analysis state for one template.
-
-    A cell starts at deep immutable with no attributes and is only ever
-    lowered.  ``history`` records each value the cell has held, so tests
-    can audit that the sequence is strictly decreasing.
-    """
-
-    value: Verdict = Verdict.DEEP_IMMUTABLE
-    attributes: frozenset = frozenset()
-    history: list[Verdict] = field(default_factory=lambda: [Verdict.DEEP_IMMUTABLE])
-
-    def downgrade(self, verdict: Verdict, attributes: frozenset) -> bool:
-        """Lower the cell by meet and union in new attributes.
-
-        Returns True when the cell changed: the value strictly decreased
-        or the attribute set grew.  Re-deriving evidence already recorded
-        does not count as change.
-        """
-        new_value = meet(self.value, verdict)
-        changed = False
-        if new_value < self.value:
-            self.value = new_value
-            self.history.append(new_value)
-            changed = True
-        if not attributes <= self.attributes:
-            self.attributes = self.attributes | attributes
-            changed = True
-        return changed
-
-    @property
-    def strict_downgrades(self) -> int:
-        """How many times the value strictly decreased."""
-        return len(self.history) - 1
-
-
 @dataclass(frozen=True)
 class FixpointResult:
     """Outcome of a fixpoint run.
 
     ``attributes`` and ``evidence`` come from re-evaluating the transfer
     function once at the final assignment, so they depend only on the
-    fixpoint reached, not on the order cells were processed.  ``history``
-    and ``strict_downgrades`` expose the per-cell trajectory for audits;
-    ``recomputations`` counts transfer evaluations in the main loop.
+    fixpoint reached, not on the order templates were processed.
+    ``history`` records each verdict a template has held, from deep
+    immutable down, and ``strict_downgrades`` how many times it dropped;
+    both are there for audits.  ``recomputations`` counts transfer
+    evaluations in the main loop.
     """
 
     verdicts: dict[str, Verdict]
@@ -143,24 +108,27 @@ def run_fixpoint(
 ) -> FixpointResult:
     """Run the worklist algorithm to the greatest fixpoint of ``transfer``.
 
-    Every template is seeded on the worklist.  When a cell changes, the
-    templates whose transfer can read it are re-queued.  By default items
-    leave the list first-in first-out; passing ``rng`` picks the next item
-    uniformly at random instead, which perturbs evaluation order without
-    affecting the result and is how order-independence gets exercised.
+    Every template is seeded on the worklist.  When a template's verdict
+    drops, the templates whose transfer can read it are re-queued.  By
+    default items leave the list first-in first-out; passing ``rng`` picks
+    the next item uniformly at random instead, which perturbs evaluation
+    order without affecting the result and is how order-independence gets
+    exercised.
 
     ``transfer`` receives the engine's one live assignment, which is
-    updated in place whenever a cell drops, so each step costs only the
+    updated in place whenever a verdict drops, so each step costs only the
     transfer itself.  The transfer must not modify the mapping or keep it
-    past the call.
+    past the call.  The loop reads only the verdict of each result: the
+    transfer's verdict depends on the assignment alone, so a template
+    whose inputs did not drop would evaluate to the same verdict again.
 
     After the list drains, the transfer function is evaluated once more
-    per template at the final assignment.  A verdict that disagrees with
-    the settled cell means the transfer function is not monotone, which is
-    a contract violation and raises RuntimeError.
+    per template at the final assignment, which gives the attributes and
+    evidence.  A verdict that disagrees with the settled one means the
+    transfer function is not monotone, which is a contract violation and
+    raises RuntimeError.
     """
     names = list(graph.templates)
-    cells: dict[str, Cell] = {name: Cell() for name in names}
 
     # Lists in graph order, so the evaluation order (and with it
     # ``recomputations``) does not depend on string hashing.
@@ -169,8 +137,8 @@ def run_fixpoint(
         for dep in graph.dependencies[name]:
             dependents[dep].append(name)
 
-    # Mirrors the cell values; written only when a cell changes.
-    assignment: dict[str, Verdict] = dict.fromkeys(names, Verdict.DEEP_IMMUTABLE)
+    verdicts: dict[str, Verdict] = dict.fromkeys(names, Verdict.DEEP_IMMUTABLE)
+    history: dict[str, list[Verdict]] = {n: [Verdict.DEEP_IMMUTABLE] for n in names}
     worklist: deque[str] = deque(names)
     queued: set[str] = set(names)
     recomputations = 0
@@ -184,37 +152,35 @@ def run_fixpoint(
             name = worklist.pop()
         queued.discard(name)
 
-        result = transfer(graph, name, assignment)
+        verdict = transfer(graph, name, verdicts).verdict
         recomputations += 1
 
-        cell = cells[name]
-        if cell.downgrade(result.verdict, result.attributes):
-            assignment[name] = cell.value
+        if verdict < verdicts[name]:
+            verdicts[name] = verdict
+            history[name].append(verdict)
             for dep in dependents[name]:
                 if dep not in queued:
                     worklist.append(dep)
                     queued.add(dep)
 
-    final = {n: c.value for n, c in cells.items()}
     attributes: dict[str, frozenset] = {}
     evidence: dict[str, tuple] = {}
     for name in names:
-        result = transfer(graph, name, final)
-        if result.verdict != final[name]:
+        result = transfer(graph, name, verdicts)
+        if result.verdict != verdicts[name]:
             raise RuntimeError(
                 f"transfer is not monotone: template {name!r} settled at "
-                f"{final[name].name} but reevaluates to {result.verdict.name} "
+                f"{verdicts[name].name} but reevaluates to {result.verdict.name} "
                 "at the fixpoint"
             )
         attributes[name] = result.attributes
         evidence[name] = result.evidence
 
     return FixpointResult(
-        verdicts=final,
+        verdicts=verdicts,
         attributes=attributes,
         evidence=evidence,
-        history={n: tuple(c.history) for n, c in cells.items()},
-        strict_downgrades={n: c.strict_downgrades for n, c in cells.items()},
+        history={n: tuple(h) for n, h in history.items()},
+        strict_downgrades={n: len(h) - 1 for n, h in history.items()},
         recomputations=recomputations,
     )
-

@@ -60,12 +60,12 @@ class ParseDiagnostic:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Everything one file parses to.  ``positions`` maps each template
-    name to where it was defined, for cross-file duplicate reporting."""
+    """Everything one file parses to.  ``positions[i]`` is where
+    ``templates[i]`` was defined, for duplicate-name reporting."""
 
     templates: list[TemplateDef]
     diagnostics: list[ParseDiagnostic]
-    positions: dict[str, SourcePosition]
+    positions: list[SourcePosition]
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,10 @@ class _Parser:
         self._locate = _locator(file, text)
         self.tokens, self.diagnostics = _lex(text, self._locate)
         self.pos = 0
+        # One slot per template in source order, None until it parses
+        # (and for good if it does not); ``positions`` runs in parallel.
         self.templates: list[TemplateDef | None] = []
-        self.positions: dict[str, SourcePosition] = {}
+        self.positions: list[SourcePosition] = []
         self._anon_counters: dict[str, int] = {}
 
     # -- token plumbing --
@@ -415,8 +417,7 @@ class _Parser:
         name = f"{enclosing}.{name_tok.text}" if enclosing else name_tok.text
         slot = len(self.templates)
         self.templates.append(None)
-        if name not in self.positions:
-            self.positions[name] = self._position(name_tok)
+        self.positions.append(self._position(name_tok))
 
         type_params: tuple[str, ...] = ()
         if self._at_punct("["):
@@ -472,7 +473,6 @@ class _Parser:
             )
         except ValueError as exc:
             self._error(name_tok, str(exc))
-            del self.templates[slot]
             return
         self.templates[slot] = template
 
@@ -743,8 +743,7 @@ class _Parser:
         anon_name = f"{owner}$anon${count}"
         slot = len(self.templates)
         self.templates.append(None)
-        if anon_name not in self.positions:
-            self.positions[anon_name] = self._position(new_tok)
+        self.positions.append(self._position(new_tok))
 
         anon_fields: list[FieldDecl] = []
         anon_abstract: set[str] = set()
@@ -755,7 +754,6 @@ class _Parser:
                 f"anonymous class {anon_name!r} cannot declare abstract "
                 "type members",
             )
-            del self.templates[slot]
             return None
         try:
             template = TemplateDef(
@@ -766,7 +764,6 @@ class _Parser:
             )
         except ValueError as exc:
             self._error(new_tok, str(exc))
-            del self.templates[slot]
             return None
         self.templates[slot] = template
         return TypeRef(anon_name)
@@ -802,8 +799,16 @@ def parse_source(file: str, text: str) -> ParseResult:
     """
     parser = _Parser(file, text)
     parser.parse_file()
-    templates = [t for t in parser.templates if t is not None]
-    return ParseResult(templates, parser.diagnostics, parser.positions)
+    parsed = [
+        (template, position)
+        for template, position in zip(parser.templates, parser.positions)
+        if template is not None
+    ]
+    return ParseResult(
+        [template for template, _ in parsed],
+        parser.diagnostics,
+        [position for _, position in parsed],
+    )
 
 
 def parse_corpus(files: Iterable[tuple[str, str]]) -> CorpusParse:
@@ -819,10 +824,7 @@ def parse_corpus(files: Iterable[tuple[str, str]]) -> CorpusParse:
     for path, text in files:
         result = parse_source(path, text)
         diagnostics.extend(result.diagnostics)
-        for template in result.templates:
-            position = result.positions.get(
-                template.name, SourcePosition(path, 1, 1)
-            )
+        for template, position in zip(result.templates, result.positions):
             previous = first_seen.get(template.name)
             if previous is not None:
                 diagnostics.append(

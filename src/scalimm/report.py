@@ -72,8 +72,7 @@ VERDICT_PHRASES: dict[Verdict, str] = {
 def format_count(count: int, total: int) -> str:
     """Render a count with its share of ``total``: (124, 626) gives
     ``124 (19.8%)``.  A zero total renders as 0.0%."""
-    pct = 0.0 if total == 0 else count / total * 100.0
-    return f"{count} ({pct:.1f}%)"
+    return f"{count} ({_pct(count, total)}%)"
 
 
 def _pct(count: int, total: int) -> str:

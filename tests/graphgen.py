@@ -217,8 +217,8 @@ def kleene_fixpoint(
     Each round evaluates every template against a copy of the previous
     round's assignment and meets the result in; iteration stops after a
     round that changes nothing.  There is no worklist, no dependency
-    index and no cell, so the result is independent of the engine's
-    bookkeeping.  Attributes and evidence come from one final transfer
+    index and no live assignment, so the result is independent of the
+    engine's bookkeeping.  Attributes and evidence come from one final transfer
     per template at the fixpoint, as the engine defines them.
     """
     names = list(graph.templates)

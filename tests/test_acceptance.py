@@ -10,7 +10,7 @@ Criteria:
    random graphs of up to 8 templates, in under 60 seconds.
 2. Verdicts and attribute sets are identical across shuffled worklist
    orders (100 graphs, 10 orders each).
-3. Cell values never increase and each run performs at most three strict
+3. Verdicts never increase and each run performs at most three strict
    downgrades per template.
 4. Structural invariants hold on all fuzz inputs: no object-like template
    is conditionally deep, every var-declaring template is mutable, and

@@ -1,4 +1,4 @@
-"""Lattice, cell and fixpoint engine behavior, checked against oracles."""
+"""Lattice and fixpoint engine behavior, checked against oracles."""
 
 import os
 import random
@@ -20,7 +20,6 @@ from graphgen import (
 from scalimm.classify import AttributeKey, make_transfer
 from scalimm.ir import FieldDecl, TemplateDef, TemplateKind, TypeRef, Visibility, build_graph
 from scalimm.lattice import (
-    Cell,
     TransferResult,
     VERDICT_BY_TOKEN,
     VERDICT_TOKENS,
@@ -91,56 +90,6 @@ def test_meet_is_lower_bound(a, b):
     assert m <= a and m <= b
 
 
-# ---- cells ----------------------------------------------------------------
-
-
-def test_cell_starts_at_top_with_no_attributes():
-    cell = Cell()
-    assert cell.value is Verdict.DEEP_IMMUTABLE
-    assert cell.attributes == frozenset()
-    assert cell.history == [Verdict.DEEP_IMMUTABLE]
-    assert cell.strict_downgrades == 0
-
-
-def test_cell_downgrade_reports_value_and_attribute_changes():
-    cell = Cell()
-    a = frozenset({AttributeKey.PUBLIC_VAR})
-    assert cell.downgrade(Verdict.SHALLOW_IMMUTABLE, a) is True
-    assert cell.value is Verdict.SHALLOW_IMMUTABLE
-    assert cell.attributes == a
-
-    # Same evidence again: nothing new.
-    assert cell.downgrade(Verdict.SHALLOW_IMMUTABLE, a) is False
-
-    # Attribute growth alone still counts as a change but not a downgrade.
-    b = frozenset({AttributeKey.PARENT_SHALLOW})
-    assert cell.downgrade(Verdict.SHALLOW_IMMUTABLE, b) is True
-    assert cell.attributes == a | b
-    assert cell.strict_downgrades == 1
-
-    # A higher verdict never raises the value.
-    assert cell.downgrade(Verdict.DEEP_IMMUTABLE, frozenset()) is False
-    assert cell.value is Verdict.SHALLOW_IMMUTABLE
-
-
-def test_cell_history_caps_at_three_strict_downgrades():
-    cell = Cell()
-    for v in (
-        Verdict.CONDITIONALLY_DEEP,
-        Verdict.SHALLOW_IMMUTABLE,
-        Verdict.MUTABLE,
-        Verdict.MUTABLE,
-    ):
-        cell.downgrade(v, frozenset())
-    assert cell.strict_downgrades == 3
-    assert cell.history == [
-        Verdict.DEEP_IMMUTABLE,
-        Verdict.CONDITIONALLY_DEEP,
-        Verdict.SHALLOW_IMMUTABLE,
-        Verdict.MUTABLE,
-    ]
-
-
 # ---- engine on small hand-built graphs ------------------------------------
 
 
@@ -186,6 +135,37 @@ def test_mutability_propagates_down_a_parent_chain():
     assert result.attributes["X"] == {AttributeKey.PRIVATE_VAR}
     assert result.attributes["Y"] == {AttributeKey.PARENT_MUTABLE}
     assert result.attributes["Z"] == {AttributeKey.PARENT_MUTABLE}
+
+
+def test_attribute_growth_without_a_verdict_drop_requeues_nothing():
+    # D's letters grow from {J} (a: S is shallow) to {J, H} once X drops
+    # to mutable, but D stays shallow throughout, so E, which reads only
+    # D's verdict, is evaluated once from the seeded list and once after
+    # D's single drop from deep to shallow.
+    graph = build_graph(
+        [
+            mk_class("D", fields=[mk_field("a", "S"), mk_field("b", "X")]),
+            mk_class("S", fields=[mk_field("u", "ext.Ext")]),
+            mk_class("X", parents=["P"]),
+            mk_class("P", fields=[mk_field("n", "scala.Int", var=True)]),
+            mk_class("E", fields=[mk_field("d", "D")]),
+        ]
+    )
+    transfer = make_transfer()
+    evaluated = []
+
+    def counting(graph, name, assignment):
+        evaluated.append(name)
+        return transfer(graph, name, assignment)
+
+    result = run_fixpoint(graph, counting)
+    assert result.verdicts["D"] is Verdict.SHALLOW_IMMUTABLE
+    assert result.attributes["D"] == {
+        AttributeKey.FIELD_TYPE_SHALLOW,
+        AttributeKey.FIELD_TYPE_MUTABLE,
+    }
+    assert result.recomputations == 9
+    assert evaluated[: result.recomputations].count("E") == 2
 
 
 def test_empty_graph_runs_to_empty_result():
@@ -245,15 +225,14 @@ def _random_class_graph(n, seed):
 # graph size because the work it does is bounded by the lattice.  Every
 # template is evaluated once from the seeded worklist (n).  After that,
 # a template is evaluated again only because it was re-queued, and it is
-# re-queued only when one of its dependencies' cells changed.  A cell
-# changes at most 13 times: its value can drop strictly three times
-# (deep -> conditionally deep -> shallow -> mutable), and every other
-# change adds at least one of the ten attribute letters A-J.  A change of
-# cell d re-queues each dependent of d at most once, so the re-queues
-# total at most 13 * sum(|dependents of d|) = 13 * edges.
+# re-queued only when the verdict of one of its dependencies strictly
+# dropped.  A verdict drops at most three times (deep -> conditionally
+# deep -> shallow -> mutable), and a drop of d re-queues each dependent
+# of d at most once, so the re-queues total at most
+# 3 * sum(|dependents of d|) = 3 * edges.
 def _assert_within_change_bound(graph, result):
     edges = sum(len(deps) for deps in graph.dependencies.values())
-    bound = len(graph.templates) + 13 * edges
+    bound = len(graph.templates) + 3 * edges
     assert result.recomputations <= bound, (result.recomputations, bound)
 
 

@@ -516,6 +516,13 @@ def test_corpus_duplicate_names_report_both_positions():
     assert "duplicate template name 'A'" in diagnostic.message
 
 
+def test_duplicate_name_within_one_file_is_reported_at_the_second_definition():
+    corpus = parse_corpus([("f.scala", "class A\nclass A\n")])
+    assert [str(d) for d in corpus.diagnostics] == [
+        "f.scala:2:7: duplicate template name 'A' (first defined at f.scala:1:7)"
+    ]
+
+
 def test_corpus_empty_input_builds_empty_graph():
     corpus = parse_corpus([])
     assert corpus.diagnostics == []
