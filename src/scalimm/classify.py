@@ -3,8 +3,9 @@
 A template's verdict is computed from its own declared fields and from the
 verdicts of its parents, with generic types evaluated by substituting the
 supplied type arguments.  Every downgrade below deep immutability is
-tagged with an attribute key (a letter A through J) and an evidence record
-saying which parent or field caused it, so results stay explainable.
+recorded once, as an evidence record holding an attribute key (a letter A
+through J) and the parent or field that caused it, so results stay
+explainable; a template's attribute letters are derived from its records.
 """
 
 from __future__ import annotations
@@ -151,6 +152,17 @@ _DEEP = FieldTypeVerdict(FieldTypeKind.DEEP)
 _ABSTRACT = FieldTypeVerdict(FieldTypeKind.ABSTRACT)
 _SHALLOW = FieldTypeVerdict(FieldTypeKind.SHALLOW)
 _UNKNOWN = FieldTypeVerdict(FieldTypeKind.UNKNOWN)
+_MUTABLE = FieldTypeVerdict(FieldTypeKind.MUTABLE)
+_ASSUMED_MUTABLE = FieldTypeVerdict(FieldTypeKind.MUTABLE, assumed=True)
+
+#: The attribute a field-type outcome below abstract records, keyed by its
+#: kind and by whether it came from the assumption list.
+_OUTCOME_ATTRIBUTES = {
+    (FieldTypeKind.MUTABLE, False): AttributeKey.FIELD_TYPE_MUTABLE,
+    (FieldTypeKind.MUTABLE, True): AttributeKey.FIELD_TYPE_ASSUMED_MUTABLE,
+    (FieldTypeKind.UNKNOWN, False): AttributeKey.FIELD_TYPE_UNKNOWN,
+    (FieldTypeKind.SHALLOW, False): AttributeKey.FIELD_TYPE_SHALLOW,
+}
 
 
 class ClassificationError(ValueError):
@@ -182,29 +194,17 @@ def evaluate_field_type(
         return _UNKNOWN
     if isinstance(resolution, Assumed):
         base = resolution.verdict
-        assumed = True
+        if base is Verdict.MUTABLE:
+            return _ASSUMED_MUTABLE
     else:
         assert isinstance(resolution, Internal)
         base = assignment[resolution.name]
-        assumed = False
     if base is Verdict.MUTABLE:
-        return FieldTypeVerdict(FieldTypeKind.MUTABLE, assumed=assumed)
+        return _MUTABLE
     if base is Verdict.SHALLOW_IMMUTABLE:
         return _SHALLOW
     if base is Verdict.DEEP_IMMUTABLE:
         return _DEEP
-    return _fold_type_args(ref, scope, assignment, graph, assumptions)
-
-
-def _fold_type_args(
-    ref: TypeRef,
-    scope: TemplateDef,
-    assignment: Mapping[str, Verdict],
-    graph: TemplateGraph,
-    assumptions: Mapping[str, Verdict] | None,
-) -> FieldTypeVerdict:
-    """Substitute into a conditionally deep head by evaluating its
-    arguments and keeping the weakest outcome."""
     if not ref.args:
         return _ABSTRACT if scope.has_abstract_types else _UNKNOWN
     outcomes = [
@@ -220,7 +220,8 @@ def transfer(
     graph: TemplateGraph,
     assumptions: Mapping[str, Verdict] | None = None,
 ) -> TransferResult:
-    """Compute one template's verdict, attributes and evidence.
+    """Compute one template's verdict and the evidence records that
+    lowered it, one record per cause.
 
     Starting from deep immutable, applies in order: declared reassignable
     fields, parents, declared non-reassignable fields.  Objects, case
@@ -233,62 +234,30 @@ def transfer(
     or abstract type member of the template itself.
     """
     verdict = Verdict.DEEP_IMMUTABLE
-    attributes: set[AttributeKey] = set()
     evidence: list[EvidenceRecord] = []
     collapse_abstract = template.kind in UNPARAMETERIZED_KINDS
 
-    def contribute(
-        v: Verdict,
-        attr: AttributeKey | None,
-        cause: ParentCause | FieldCause | None,
+    def lower(
+        v: Verdict, attr: AttributeKey, cause: ParentCause | FieldCause
     ) -> None:
         nonlocal verdict
         verdict = meet(verdict, v)
-        if attr is not None:
-            attributes.add(attr)
-            assert cause is not None
-            evidence.append(EvidenceRecord(attr, cause))
+        evidence.append(EvidenceRecord(attr, cause))
 
     def apply_outcome(
         outcome: FieldTypeVerdict, cause: ParentCause | FieldCause
     ) -> None:
+        nonlocal verdict
         kind = outcome.kind
-        if kind is FieldTypeKind.ABSTRACT and collapse_abstract:
-            kind = FieldTypeKind.UNKNOWN
         if kind is FieldTypeKind.DEEP:
             return
         if kind is FieldTypeKind.ABSTRACT:
-            contribute(Verdict.CONDITIONALLY_DEEP, None, None)
-        elif kind is FieldTypeKind.MUTABLE:
-            attr = (
-                AttributeKey.FIELD_TYPE_ASSUMED_MUTABLE
-                if outcome.assumed
-                else AttributeKey.FIELD_TYPE_MUTABLE
-            )
-            contribute(Verdict.SHALLOW_IMMUTABLE, attr, cause)
-        elif kind is FieldTypeKind.UNKNOWN:
-            contribute(
-                Verdict.SHALLOW_IMMUTABLE, AttributeKey.FIELD_TYPE_UNKNOWN, cause
-            )
-        else:
-            contribute(
-                Verdict.SHALLOW_IMMUTABLE, AttributeKey.FIELD_TYPE_SHALLOW, cause
-            )
-
-    def fold_parent_args(parent: TypeRef) -> None:
-        if not parent.args:
-            kind = (
-                FieldTypeKind.ABSTRACT
-                if template.has_abstract_types
-                else FieldTypeKind.UNKNOWN
-            )
-            apply_outcome(FieldTypeVerdict(kind), ParentCause(parent))
-            return
-        for arg in parent.args:
-            outcome = evaluate_field_type(
-                arg, template, assignment, graph, assumptions
-            )
-            apply_outcome(outcome, ParentCause(parent, arg))
+            if not collapse_abstract:
+                verdict = meet(verdict, Verdict.CONDITIONALLY_DEEP)
+                return
+            kind = FieldTypeKind.UNKNOWN
+        attr = _OUTCOME_ATTRIBUTES[kind, outcome.assumed]
+        lower(Verdict.SHALLOW_IMMUTABLE, attr, cause)
 
     for f in template.fields:
         if f.reassignable:
@@ -297,7 +266,7 @@ def transfer(
                 if f.visibility is Visibility.PRIVATE
                 else AttributeKey.PUBLIC_VAR
             )
-            contribute(Verdict.MUTABLE, attr, FieldCause(f.name, f.declared_type))
+            lower(Verdict.MUTABLE, attr, FieldCause(f.name, f.declared_type))
 
     for parent in template.parents:
         resolution = resolve_type_ref(graph, template, parent, assumptions)
@@ -307,9 +276,7 @@ def transfer(
                 "its own scope and cannot be extended"
             )
         if isinstance(resolution, Unknown):
-            contribute(
-                Verdict.MUTABLE, AttributeKey.PARENT_UNKNOWN, ParentCause(parent)
-            )
+            lower(Verdict.MUTABLE, AttributeKey.PARENT_UNKNOWN, ParentCause(parent))
             continue
         if isinstance(resolution, Assumed):
             base = resolution.verdict
@@ -319,15 +286,22 @@ def transfer(
             base = assignment[resolution.name]
             mutable_attr = AttributeKey.PARENT_MUTABLE
         if base is Verdict.MUTABLE:
-            contribute(Verdict.MUTABLE, mutable_attr, ParentCause(parent))
+            lower(Verdict.MUTABLE, mutable_attr, ParentCause(parent))
         elif base is Verdict.SHALLOW_IMMUTABLE:
-            contribute(
+            lower(
                 Verdict.SHALLOW_IMMUTABLE,
                 AttributeKey.PARENT_SHALLOW,
                 ParentCause(parent),
             )
         elif base is Verdict.CONDITIONALLY_DEEP:
-            fold_parent_args(parent)
+            if not parent.args:
+                outcome = _ABSTRACT if template.has_abstract_types else _UNKNOWN
+                apply_outcome(outcome, ParentCause(parent))
+            for arg in parent.args:
+                outcome = evaluate_field_type(
+                    arg, template, assignment, graph, assumptions
+                )
+                apply_outcome(outcome, ParentCause(parent, arg))
 
     for f in template.fields:
         if not f.reassignable:
@@ -336,7 +310,7 @@ def transfer(
             )
             apply_outcome(outcome, FieldCause(f.name, f.declared_type))
 
-    return TransferResult(verdict, frozenset(attributes), tuple(evidence))
+    return TransferResult(verdict, tuple(evidence))
 
 
 def make_transfer(assumptions: Mapping[str, Verdict] | None = None) -> TransferFn:
@@ -366,8 +340,9 @@ class AnalysisResult:
 
 
 def package_result(graph: TemplateGraph, fix: FixpointResult) -> AnalysisResult:
-    """Filter raw fixpoint attributes down to the verdict's own group and
-    check the result invariants.
+    """Filter raw fixpoint evidence down to the verdict's own group, derive
+    each template's attributes from the records kept, and check the result
+    invariants.
 
     The transfer function may report causes from both groups on one
     template (a reassignable field next to a mutable-typed value field);
@@ -382,13 +357,13 @@ def package_result(graph: TemplateGraph, fix: FixpointResult) -> AnalysisResult:
             keep = SHALLOW_ATTRIBUTES
         else:
             keep = frozenset()
-        attrs = fix.attributes[name] & keep
-        attributes[name] = attrs
-        evidence[name] = tuple(
-            record for record in fix.evidence[name] if record.attribute in attrs
+        records = tuple(
+            record for record in fix.evidence[name] if record.attribute in keep
         )
-        if verdict is Verdict.MUTABLE or verdict is Verdict.SHALLOW_IMMUTABLE:
-            assert attrs, f"{verdict.name} template {name!r} has no attributes"
+        evidence[name] = records
+        attributes[name] = frozenset(record.attribute for record in records)
+        if keep:
+            assert records, f"{verdict.name} template {name!r} has no attributes"
         if graph.templates[name].kind in UNPARAMETERIZED_KINDS:
             assert verdict is not Verdict.CONDITIONALLY_DEEP, (
                 f"{graph.templates[name].kind.value} template {name!r} "

@@ -88,16 +88,20 @@ def _load_graph(args: argparse.Namespace) -> TemplateGraph | int:
         except IRError as exc:
             return _fail(f"{paths[0]}: {exc}")
 
-    files: list[Path] = []
+    # Keyed by resolved path, so a file named twice, or both directly and
+    # through its directory, is read once under its first spelling.
+    files: dict[Path, Path] = {}
     for path in paths:
         if path.is_dir():
-            files.extend(sorted(path.rglob("*.scala")))
+            found = sorted(p for p in path.rglob("*.scala") if not p.is_dir())
         elif path.is_file():
-            files.append(path)
+            found = [path]
         else:
             return _fail(f"{path}: no such file or directory")
+        for file in found:
+            files.setdefault(file.resolve(), file)
     sources: list[tuple[str, str]] = []
-    for file in files:
+    for file in files.values():
         try:
             text = file.read_bytes().decode("utf-8")
         except OSError as exc:

@@ -14,12 +14,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .ir import TemplateGraph
-
-if TYPE_CHECKING:
-    from .classify import AttributeKey, EvidenceRecord
 
 __all__ = [
     "FixpointResult",
@@ -64,11 +61,12 @@ def meet(a: Verdict, b: Verdict) -> Verdict:
 
 
 class TransferResult(NamedTuple):
-    """One evaluation of the transfer function for one template."""
+    """One evaluation of the transfer function for one template: the
+    verdict and the records of what lowered it.  The engine stores the
+    evidence without reading it."""
 
     verdict: Verdict
-    attributes: frozenset[AttributeKey]
-    evidence: tuple[EvidenceRecord, ...]
+    evidence: tuple
 
 
 #: Transfer functions compute a template's verdict from the current
@@ -83,9 +81,9 @@ TransferFn = Callable[[TemplateGraph, str, Mapping[str, "Verdict"]], TransferRes
 class FixpointResult:
     """Outcome of a fixpoint run.
 
-    ``attributes`` and ``evidence`` come from re-evaluating the transfer
-    function once at the final assignment, so they depend only on the
-    fixpoint reached, not on the order templates were processed.
+    ``evidence`` comes from re-evaluating the transfer function once at
+    the final assignment, so it depends only on the fixpoint reached, not
+    on the order templates were processed.
     ``history`` records each verdict a template has held, from deep
     immutable down, and ``strict_downgrades`` how many times it dropped;
     both are there for audits.  ``recomputations`` counts transfer
@@ -93,7 +91,6 @@ class FixpointResult:
     """
 
     verdicts: dict[str, Verdict]
-    attributes: dict[str, frozenset]
     evidence: dict[str, tuple]
     history: dict[str, tuple[Verdict, ...]]
     strict_downgrades: dict[str, int]
@@ -123,10 +120,10 @@ def run_fixpoint(
     whose inputs did not drop would evaluate to the same verdict again.
 
     After the list drains, the transfer function is evaluated once more
-    per template at the final assignment, which gives the attributes and
-    evidence.  A verdict that disagrees with the settled one means the
-    transfer function is not monotone, which is a contract violation and
-    raises RuntimeError.
+    per template at the final assignment, which gives the evidence.  A
+    verdict that disagrees with the settled one means the transfer
+    function is not monotone, which is a contract violation and raises
+    RuntimeError.
     """
     names = list(graph.templates)
 
@@ -163,7 +160,6 @@ def run_fixpoint(
                     worklist.append(dep)
                     queued.add(dep)
 
-    attributes: dict[str, frozenset] = {}
     evidence: dict[str, tuple] = {}
     for name in names:
         result = transfer(graph, name, verdicts)
@@ -173,12 +169,10 @@ def run_fixpoint(
                 f"{verdicts[name].name} but reevaluates to {result.verdict.name} "
                 "at the fixpoint"
             )
-        attributes[name] = result.attributes
         evidence[name] = result.evidence
 
     return FixpointResult(
         verdicts=verdicts,
-        attributes=attributes,
         evidence=evidence,
         history={n: tuple(h) for n, h in history.items()},
         strict_downgrades={n: len(h) - 1 for n, h in history.items()},

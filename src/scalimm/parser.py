@@ -795,7 +795,8 @@ def parse_source(file: str, text: str) -> ParseResult:
     """Parse one file into template definitions plus diagnostics.
 
     Recovery keeps going after errors, so both lists can be non-empty;
-    the parse succeeded only when diagnostics is empty.
+    the parse succeeded only when diagnostics is empty.  Diagnostics are
+    listed in source order, lexical and grammar ones interleaved.
     """
     parser = _Parser(file, text)
     parser.parse_file()
@@ -804,9 +805,12 @@ def parse_source(file: str, text: str) -> ParseResult:
         for template, position in zip(parser.templates, parser.positions)
         if template is not None
     ]
+    diagnostics = sorted(
+        parser.diagnostics, key=lambda d: (d.position.line, d.position.column)
+    )
     return ParseResult(
         [template for template, _ in parsed],
-        parser.diagnostics,
+        diagnostics,
         [position for _, position in parsed],
     )
 

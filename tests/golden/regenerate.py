@@ -4,7 +4,9 @@ Run from the repository root:
 
     python3 tests/golden/regenerate.py
 
-Rewrites expected_ir.json and expected_report.txt from the .scala sources.
+Rewrites expected_ir.json, expected_report.txt and expected_explain.txt
+(one ``--explain`` block per template, in graph order) from the .scala
+sources.
 expected_result.json is hand-maintained (see DERIVATION.md) and is only
 checked here; a mismatch means either the sources changed without updating
 the derivation or the analyzer changed behavior.
@@ -18,7 +20,12 @@ from scalimm.classify import classify_corpus, parse_assumptions
 from scalimm.ir import serialize_ir
 from scalimm.lattice import VERDICT_TOKENS
 from scalimm.parser import parse_corpus
-from scalimm.report import build_report, render_report
+from scalimm.report import (
+    build_report,
+    explain,
+    render_explanation,
+    render_report,
+)
 
 GOLDEN = Path(__file__).resolve().parent
 
@@ -70,7 +77,18 @@ def main() -> int:
     (GOLDEN / "expected_report.txt").write_bytes(
         render_report(build_report(result, corpus.graph), "text")
     )
-    print("regenerated expected_ir.json and expected_report.txt")
+    (GOLDEN / "expected_explain.txt").write_text(
+        "".join(
+            render_explanation(explain(result, name)) + "\n"
+            for name in corpus.graph.templates
+        ),
+        encoding="utf-8",
+        newline="\n",
+    )
+    print(
+        "regenerated expected_ir.json, expected_report.txt and "
+        "expected_explain.txt"
+    )
     return 0
 
 

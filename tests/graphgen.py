@@ -12,7 +12,7 @@ table lookups; ``naive_fixpoint_oracle`` re-derives it with plain
 dictionaries and no vectorization, as an independent check on the first.
 Both are limited to tiny graphs.  ``kleene_fixpoint`` iterates downward
 from the top in whole rounds, so it scales to graphs of any size and
-also reproduces the engine's attributes and evidence.
+also reproduces the engine's evidence.
 numpy is a test dependency only; the ``scalimm`` package does not use it.
 ``monomorphize`` textually instantiates every generic use so the
 substitution semantics can be compared against analyzing fully concrete
@@ -211,15 +211,15 @@ def naive_fixpoint_oracle(
 def kleene_fixpoint(
     graph: TemplateGraph,
     transfer: TransferFn,
-) -> tuple[dict[str, Verdict], dict[str, frozenset], dict[str, tuple]]:
+) -> tuple[dict[str, Verdict], dict[str, tuple]]:
     """Greatest fixpoint by round-robin Kleene iteration from the top.
 
     Each round evaluates every template against a copy of the previous
     round's assignment and meets the result in; iteration stops after a
     round that changes nothing.  There is no worklist, no dependency
     index and no live assignment, so the result is independent of the
-    engine's bookkeeping.  Attributes and evidence come from one final transfer
-    per template at the fixpoint, as the engine defines them.
+    engine's bookkeeping.  Evidence comes from one final transfer per
+    template at the fixpoint, as the engine defines it.
     """
     names = list(graph.templates)
     assignment = dict.fromkeys(names, Verdict.DEEP_IMMUTABLE)
@@ -231,12 +231,8 @@ def kleene_fixpoint(
                 previous[name], transfer(graph, name, previous).verdict
             )
         changed = assignment != previous
-    final = {name: transfer(graph, name, assignment) for name in names}
-    return (
-        assignment,
-        {name: r.attributes for name, r in final.items()},
-        {name: r.evidence for name, r in final.items()},
-    )
+    evidence = {name: transfer(graph, name, assignment).evidence for name in names}
+    return assignment, evidence
 
 
 #: Enumerating assignments is 4**n rows; beyond this many templates the

@@ -64,6 +64,11 @@ def var(name, ref, *, private=False):
     )
 
 
+def letters(result):
+    """The attribute letters of a transfer result's evidence records."""
+    return {record.attribute for record in result.evidence}
+
+
 def run_one(template, *others, assumptions=None):
     graph = build_graph([template, *others])
     assignment = {
@@ -78,14 +83,14 @@ def run_one(template, *others, assumptions=None):
 def test_private_var_makes_mutable_with_d():
     result = run_one(mk("C", fields=[var("n", "scala.Int", private=True)]))
     assert result.verdict is Verdict.MUTABLE
-    assert result.attributes == {A.PRIVATE_VAR}
+    assert letters(result) == {A.PRIVATE_VAR}
     assert result.evidence[0].cause == FieldCause("n", TypeRef("scala.Int"))
 
 
 def test_public_var_makes_mutable_with_c():
     result = run_one(mk("C", fields=[var("n", "scala.Int")]))
     assert result.verdict is Verdict.MUTABLE
-    assert result.attributes == {A.PUBLIC_VAR}
+    assert letters(result) == {A.PUBLIC_VAR}
 
 
 def test_generic_case_class_with_param_field_is_conditionally_deep():
@@ -93,14 +98,14 @@ def test_generic_case_class_with_param_field_is_conditionally_deep():
         mk("P", kind=TemplateKind.CASE_CLASS, params=["T"], fields=[val("v", "T")])
     )
     assert result.verdict is Verdict.CONDITIONALLY_DEEP
-    assert result.attributes == frozenset()
+    assert letters(result) == frozenset()
     assert result.evidence == ()
 
 
 def test_unresolved_field_type_gives_shallow_g():
     result = run_one(mk("G", fields=[val("m", "Ext")]))
     assert result.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert result.attributes == {A.FIELD_TYPE_UNKNOWN}
+    assert letters(result) == {A.FIELD_TYPE_UNKNOWN}
 
 
 def test_assumed_mutable_field_type_gives_shallow_i():
@@ -109,7 +114,7 @@ def test_assumed_mutable_field_type_gives_shallow_i():
         assumptions={"Buf": Verdict.MUTABLE},
     )
     assert result.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert result.attributes == {A.FIELD_TYPE_ASSUMED_MUTABLE}
+    assert letters(result) == {A.FIELD_TYPE_ASSUMED_MUTABLE}
 
 
 def test_internal_mutable_field_type_gives_shallow_h():
@@ -118,7 +123,7 @@ def test_internal_mutable_field_type_gives_shallow_h():
         mk("M", fields=[var("x", "scala.Int")]),
     )
     assert result.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert result.attributes == {A.FIELD_TYPE_MUTABLE}
+    assert letters(result) == {A.FIELD_TYPE_MUTABLE}
 
 
 def test_shallow_field_type_gives_shallow_j():
@@ -127,7 +132,7 @@ def test_shallow_field_type_gives_shallow_j():
         mk("S", fields=[val("u", "Ext")]),
     )
     assert result.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert result.attributes == {A.FIELD_TYPE_SHALLOW}
+    assert letters(result) == {A.FIELD_TYPE_SHALLOW}
 
 
 def test_conditionally_deep_instantiated_with_deep_stays_deep():
@@ -141,7 +146,7 @@ def test_conditionally_deep_instantiated_with_deep_stays_deep():
         mk("C"),
     )
     assert result.verdict is Verdict.DEEP_IMMUTABLE
-    assert result.attributes == frozenset()
+    assert letters(result) == frozenset()
 
 
 # ---- transfer: parents ----------------------------------------------------
@@ -150,7 +155,7 @@ def test_conditionally_deep_instantiated_with_deep_stays_deep():
 def test_unknown_parent_gives_mutable_e():
     result = run_one(mk("D", parents=["ext.Gone"]))
     assert result.verdict is Verdict.MUTABLE
-    assert result.attributes == {A.PARENT_UNKNOWN}
+    assert letters(result) == {A.PARENT_UNKNOWN}
     assert result.evidence[0].cause == ParentCause(TypeRef("ext.Gone"))
 
 
@@ -160,7 +165,7 @@ def test_assumed_mutable_parent_gives_mutable_a():
         assumptions={"lib.Actor": Verdict.MUTABLE},
     )
     assert result.verdict is Verdict.MUTABLE
-    assert result.attributes == {A.PARENT_ASSUMED_MUTABLE}
+    assert letters(result) == {A.PARENT_ASSUMED_MUTABLE}
 
 
 def test_internal_mutable_parent_gives_mutable_b():
@@ -169,7 +174,7 @@ def test_internal_mutable_parent_gives_mutable_b():
         mk("C", fields=[var("x", "scala.Int")]),
     )
     assert result.verdict is Verdict.MUTABLE
-    assert result.attributes == {A.PARENT_MUTABLE}
+    assert letters(result) == {A.PARENT_MUTABLE}
 
 
 def test_shallow_parents_give_f_for_internal_and_assumed():
@@ -178,14 +183,14 @@ def test_shallow_parents_give_f_for_internal_and_assumed():
         mk("S", fields=[val("u", "Ext")]),
     )
     assert internal.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert internal.attributes == {A.PARENT_SHALLOW}
+    assert letters(internal) == {A.PARENT_SHALLOW}
 
     assumed = run_one(
         mk("D", parents=["lib.S"]),
         assumptions={"lib.S": Verdict.SHALLOW_IMMUTABLE},
     )
     assert assumed.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert assumed.attributes == {A.PARENT_SHALLOW}
+    assert letters(assumed) == {A.PARENT_SHALLOW}
 
 
 def test_deep_parents_have_no_effect():
@@ -195,7 +200,7 @@ def test_deep_parents_have_no_effect():
         assumptions={"lib.D": Verdict.DEEP_IMMUTABLE},
     )
     assert result.verdict is Verdict.DEEP_IMMUTABLE
-    assert result.attributes == frozenset()
+    assert letters(result) == frozenset()
 
 
 def test_conditionally_deep_parent_folds_each_argument():
@@ -210,7 +215,7 @@ def test_conditionally_deep_parent_folds_each_argument():
         mk("M", fields=[var("n", "scala.Int")]),
     )
     assert result.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert result.attributes == {A.FIELD_TYPE_MUTABLE, A.FIELD_TYPE_UNKNOWN}
+    assert letters(result) == {A.FIELD_TYPE_MUTABLE, A.FIELD_TYPE_UNKNOWN}
     causes = {record.attribute: record.cause for record in result.evidence}
     parent_ref = TypeRef("P", (TypeRef("M"), TypeRef("Ext")))
     assert causes[A.FIELD_TYPE_MUTABLE] == ParentCause(parent_ref, TypeRef("M"))
@@ -227,7 +232,7 @@ def test_conditionally_deep_parent_with_abstract_argument_stays_conditional():
         mk("P", params=["X"], fields=[val("x", "X")]),
     )
     assert result.verdict is Verdict.CONDITIONALLY_DEEP
-    assert result.attributes == frozenset()
+    assert letters(result) == frozenset()
 
 
 def test_conditionally_deep_parent_with_deep_argument_is_deep():
@@ -245,7 +250,7 @@ def test_bare_conditionally_deep_parent_depends_on_scope_abstractness():
         mk("P", params=["X"], fields=[val("x", "X")]),
     )
     assert concrete.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert concrete.attributes == {A.FIELD_TYPE_UNKNOWN}
+    assert letters(concrete) == {A.FIELD_TYPE_UNKNOWN}
     assert concrete.evidence[0].cause == ParentCause(TypeRef("P"))
 
     generic = run_one(
@@ -268,7 +273,7 @@ def test_assumed_conditionally_deep_parent_folds_like_internal():
         assumptions={"lib.Box": Verdict.CONDITIONALLY_DEEP},
     )
     assert bare.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert bare.attributes == {A.FIELD_TYPE_UNKNOWN}
+    assert letters(bare) == {A.FIELD_TYPE_UNKNOWN}
 
 
 def test_parent_resolving_abstract_in_scope_is_an_error():
@@ -290,7 +295,7 @@ def test_kind_collapse_turns_abstract_outcomes_into_unknown():
             mk("P", params=["X"], fields=[val("x", "X")]),
         )
         assert result.verdict is Verdict.SHALLOW_IMMUTABLE
-        assert result.attributes == {A.FIELD_TYPE_UNKNOWN}
+        assert letters(result) == {A.FIELD_TYPE_UNKNOWN}
 
     anon = run_one(
         mk("W$anon$1", kind=TemplateKind.ANON_CLASS, parents=["C"], fields=[val("p", "P")]),
@@ -298,7 +303,7 @@ def test_kind_collapse_turns_abstract_outcomes_into_unknown():
         mk("P", params=["X"], fields=[val("x", "X")]),
     )
     assert anon.verdict is Verdict.SHALLOW_IMMUTABLE
-    assert anon.attributes == {A.FIELD_TYPE_UNKNOWN}
+    assert letters(anon) == {A.FIELD_TYPE_UNKNOWN}
 
 
 def test_mixed_var_and_mutable_val_reports_only_mutable_attributes():
@@ -314,7 +319,7 @@ def test_mixed_var_and_mutable_val_reports_only_mutable_attributes():
         graph,
     )
     # The raw transfer reports causes from both attribute groups.
-    assert raw.attributes == {A.PUBLIC_VAR, A.FIELD_TYPE_MUTABLE}
+    assert letters(raw) == {A.PUBLIC_VAR, A.FIELD_TYPE_MUTABLE}
     # Packaging filters to the verdict's own group.
     result = classify_corpus(graph)
     assert result.verdicts["Both"] is Verdict.MUTABLE

@@ -75,6 +75,40 @@ def test_analyze_empty_directory_reports_zero_totals(tmp_path, capsys):
     assert json.loads(out)["summary"][-1]["occurrences"] == 0
 
 
+def test_directory_named_like_a_source_is_searched_not_read(tmp_path, capsys):
+    (tmp_path / "a.scala").write_text("class A\n", encoding="utf-8")
+    (tmp_path / "pkg.scala").mkdir()
+    (tmp_path / "pkg.scala" / "b.scala").write_text(
+        "class B extends A\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, ["analyze", tmp_path, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"][-1]["occurrences"] == 2
+
+    # A dangling link is not a directory: it is read, and that fails.
+    (tmp_path / "gone.scala").symlink_to(tmp_path / "absent")
+    code, out, err = run(capsys, ["analyze", tmp_path])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{tmp_path / 'gone.scala'}: ")
+
+
+def test_each_file_is_read_once_under_its_first_spelling(tmp_path, capsys):
+    source = tmp_path / "a.scala"
+    source.write_text("class A\nclass B {\n", encoding="utf-8")
+    argv = ["analyze", source, tmp_path, tmp_path / "." / "a.scala", source]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    # One parse of the file: one diagnostic under the first spelling, and
+    # no duplicate-name report for A.
+    assert err.splitlines() == [
+        f"{source}:3:1: unexpected end of input, expected '}}'"
+    ]
+    source.write_text("class A\n", encoding="utf-8")
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"][-1]["occurrences"] == 1
+
+
 def test_missing_path_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, ["analyze", tmp_path / "absent.scala"])
     assert code == 1

@@ -49,6 +49,11 @@ def mk_field(name, type_head, *, var=False, private=False):
     )
 
 
+def letters(result, name):
+    """The attribute letters of one template's evidence records."""
+    return {record.attribute for record in result.evidence[name]}
+
+
 # ---- order and meet -------------------------------------------------------
 
 
@@ -102,8 +107,8 @@ def test_parent_of_mutable_class_is_mutable():
     )
     result = run_fixpoint(graph, make_transfer())
     assert result.verdicts == {"C": Verdict.MUTABLE, "D": Verdict.MUTABLE}
-    assert result.attributes["C"] == {AttributeKey.PUBLIC_VAR}
-    assert result.attributes["D"] == {AttributeKey.PARENT_MUTABLE}
+    assert letters(result, "C") == {AttributeKey.PUBLIC_VAR}
+    assert letters(result, "D") == {AttributeKey.PARENT_MUTABLE}
 
 
 def test_val_cycle_settles_deep():
@@ -118,8 +123,8 @@ def test_val_cycle_settles_deep():
         "A": Verdict.DEEP_IMMUTABLE,
         "B": Verdict.DEEP_IMMUTABLE,
     }
-    assert result.attributes["A"] == frozenset()
-    assert result.attributes["B"] == frozenset()
+    assert letters(result, "A") == frozenset()
+    assert letters(result, "B") == frozenset()
 
 
 def test_mutability_propagates_down_a_parent_chain():
@@ -132,9 +137,9 @@ def test_mutability_propagates_down_a_parent_chain():
     )
     result = run_fixpoint(graph, make_transfer())
     assert set(result.verdicts.values()) == {Verdict.MUTABLE}
-    assert result.attributes["X"] == {AttributeKey.PRIVATE_VAR}
-    assert result.attributes["Y"] == {AttributeKey.PARENT_MUTABLE}
-    assert result.attributes["Z"] == {AttributeKey.PARENT_MUTABLE}
+    assert letters(result, "X") == {AttributeKey.PRIVATE_VAR}
+    assert letters(result, "Y") == {AttributeKey.PARENT_MUTABLE}
+    assert letters(result, "Z") == {AttributeKey.PARENT_MUTABLE}
 
 
 def test_attribute_growth_without_a_verdict_drop_requeues_nothing():
@@ -160,7 +165,7 @@ def test_attribute_growth_without_a_verdict_drop_requeues_nothing():
 
     result = run_fixpoint(graph, counting)
     assert result.verdicts["D"] is Verdict.SHALLOW_IMMUTABLE
-    assert result.attributes["D"] == {
+    assert letters(result, "D") == {
         AttributeKey.FIELD_TYPE_SHALLOW,
         AttributeKey.FIELD_TYPE_MUTABLE,
     }
@@ -200,7 +205,6 @@ def test_random_pop_order_gives_identical_results():
                 graph, transfer, rng=random.Random(seed)
             )
             assert shuffled.verdicts == baseline.verdicts
-            assert shuffled.attributes == baseline.attributes
             assert shuffled.evidence == baseline.evidence
 
 
@@ -262,7 +266,7 @@ def test_engine_matches_kleene_iteration_on_large_graphs():
         expected = kleene_fixpoint(graph, transfer)
         for order in (None, random.Random(0), random.Random(1), random.Random(2)):
             result = run_fixpoint(graph, transfer, rng=order)
-            assert (result.verdicts, result.attributes, result.evidence) == expected
+            assert (result.verdicts, result.evidence) == expected
 
 
 # Dependents are re-queued in an order that must not depend on string
@@ -316,12 +320,7 @@ def _flipping_transfer(graph, name, assignment):
         if assignment[name] is Verdict.DEEP_IMMUTABLE
         else Verdict.DEEP_IMMUTABLE
     )
-    attrs = (
-        frozenset({AttributeKey.PUBLIC_VAR})
-        if value is Verdict.MUTABLE
-        else frozenset()
-    )
-    return TransferResult(value, attrs, ())
+    return TransferResult(value, ())
 
 
 def test_final_sweep_rejects_non_monotone_transfer():

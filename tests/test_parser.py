@@ -335,10 +335,10 @@ LEXICAL_CASES = {
         "class A { val Ⅻ = 1; val y: Ⅻb; val z: ⅫⅫ²Ⅻ.x }",
         [
             "f:1:15: unexpected character 'Ⅻ'",
+            "f:1:17: expected identifier, got '='",
             "f:1:29: unexpected character 'Ⅻ'",
             "f:1:40: unexpected character 'Ⅻ'",
             "f:1:41: unexpected character 'Ⅻ'",
-            "f:1:17: expected identifier, got '='",
             "f:1:42: expected a type, got '²Ⅻ.x'",
         ],
     ),

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,20 @@ object Single
 """
 
 SAMPLE_ASSUMPTIONS = parse_assumptions("Int deep\nlib.Legacy mutable\n")
+
+# Cause lines the golden corpus does not produce: every kind of type
+# argument of a parent, and both reassignable-field lines with no declared
+# type.
+CAUSE_SOURCE = """
+class P[T](val t: T)
+class Q extends P[ext.X]
+class R extends P[lib.Buf]
+class S(val u: ext.Y)
+class U extends P[S]
+class V { var x = 1; private var y = 2 }
+"""
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def sample_analysis():
@@ -265,6 +280,61 @@ def test_explain_verdicts_without_causes():
     assert render_explanation(explain(result, "Pair")) == (
         "Pair: conditionally deep immutable; no causes"
     )
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        (
+            "Q",
+            "Q: shallow immutable\n"
+            "  G: type argument 'ext.X' of parent 'P[ext.X]' is unknown",
+        ),
+        (
+            "R",
+            "R: shallow immutable\n"
+            "  I: type argument 'lib.Buf' of parent 'P[lib.Buf]' is mutable "
+            "(assumption)",
+        ),
+        (
+            "U",
+            "U: shallow immutable\n"
+            "  J: type argument 'S' of parent 'P[S]' is shallow immutable",
+        ),
+        (
+            "V",
+            "V: mutable\n"
+            "  C: reassignable field 'x' is public\n"
+            "  D: reassignable field 'y' is private",
+        ),
+    ],
+)
+def test_explain_cause_lines_missing_from_the_golden_corpus(name, expected):
+    corpus = parse_corpus([("causes.scala", CAUSE_SOURCE)])
+    assert corpus.diagnostics == []
+    result = classify_corpus(
+        corpus.graph, parse_assumptions("lib.Buf mutable\n")
+    )
+    assert render_explanation(explain(result, name)) == expected
+
+
+def test_explain_every_golden_template_matches_committed_file():
+    sources = [
+        (path.name, path.read_text(encoding="utf-8"))
+        for path in sorted(GOLDEN.glob("*.scala"))
+    ]
+    corpus = parse_corpus(sources)
+    assert corpus.diagnostics == []
+    assumptions = parse_assumptions(
+        (GOLDEN / "assumptions.txt").read_text(encoding="utf-8")
+    )
+    result = classify_corpus(corpus.graph, assumptions)
+    rendered = "".join(
+        render_explanation(explain(result, name)) + "\n"
+        for name in corpus.graph.templates
+    )
+    committed = (GOLDEN / "expected_explain.txt").read_bytes()
+    assert rendered.encode("utf-8") == committed
 
 
 def test_explain_unknown_template_raises_key_error():
