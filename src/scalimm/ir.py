@@ -25,6 +25,8 @@ __all__ = [
     "FieldDecl",
     "IRError",
     "Internal",
+    "MAX_TEMPLATE_NESTING",
+    "MAX_TYPE_DEPTH",
     "Resolution",
     "TemplateDef",
     "TemplateGraph",
@@ -44,6 +46,12 @@ __all__ = [
 #: Placeholder head for fields whose declared type the frontend could not
 #: recover (no annotation, initializer skipped).  Resolves to Unknown.
 INFERRED_HEAD = "$inferred"
+
+#: How deep a type (``P[P[Int]]`` is 3 levels) and template bodies, anonymous
+#: ones included, may nest.  The frontend rejects deeper input, which keeps
+#: the parser and the walkers over TypeRef well inside Python's recursion limit.
+MAX_TYPE_DEPTH = 100
+MAX_TEMPLATE_NESTING = 100
 
 
 class TemplateKind(Enum):
@@ -395,7 +403,7 @@ def load_ir(document: bytes | str) -> TemplateGraph:
             raise IRError(f"document is not UTF-8: {exc}") from None
     try:
         root = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # syntax, huge ints, depth
         raise IRError(f"invalid JSON: {exc}") from None
     _require(isinstance(root, dict), "expected a top-level object", "$")
     assert isinstance(root, dict)

@@ -16,11 +16,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .ir import (
     FieldDecl,
     INFERRED_HEAD,
+    MAX_TEMPLATE_NESTING,
+    MAX_TYPE_DEPTH,
     TemplateDef,
     TemplateGraph,
     TemplateKind,
@@ -154,10 +156,9 @@ _COMMENT_MARK = re.compile(r"/\*|\*/")
 _LITERAL = re.compile(r"\w[\w.]*")
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "kw" | "punct" | "op" | "lit" | "eof"
-    text: str
-    offset: int
+#: ``(kind, text, offset)``, kind one of ident, kw, punct, op, lit or eof.  A
+#: plain tuple: the cyclic collector untracks it, never a NamedTuple instance.
+_Token = tuple[str, str, int]
 
 
 def _locator(file: str, text: str) -> Callable[[int], SourcePosition]:
@@ -174,8 +175,10 @@ def _locator(file: str, text: str) -> Callable[[int], SourcePosition]:
 
 def _lex(
     text: str, locate: Callable[[int], SourcePosition]
-) -> tuple[list[_Token], list[ParseDiagnostic]]:
+) -> tuple[list[_Token], dict[int, int], list[ParseDiagnostic]]:
     tokens: list[_Token] = []
+    jumps: dict[int, int] = {}  # opener index -> closer index, nested groups only
+    open_groups: list[int] | None = []  # None from the first mismatched closer on
     diagnostics: list[ParseDiagnostic] = []
 
     def error(offset: int, message: str) -> None:
@@ -196,7 +199,7 @@ def _lex(
                     # an unexpected character, and so is each one after it.
                     if word[0].isdigit():
                         pos = _LITERAL.match(text, start).end()
-                        tokens.append(_Token("lit", text[start:pos], start))
+                        tokens.append(("lit", text[start:pos], start))
                     else:
                         pos = start
                         for c in word:
@@ -205,6 +208,14 @@ def _lex(
                             error(pos, f"unexpected character {c!r}")
                             pos += 1
                     break
+            elif kind == "punct" and open_groups is not None:
+                if word in "([{":
+                    open_groups.append(len(tokens))
+                elif word in _OPENER:
+                    if open_groups and tokens[open_groups[-1]][1] == _OPENER[word]:
+                        jumps[open_groups.pop()] = len(tokens)
+                    else:
+                        open_groups = None
             elif kind == "string":
                 if m.group("closed") is None and m.group("closed3") is None:
                     error(start, "unterminated string literal")
@@ -226,9 +237,9 @@ def _lex(
                 error(start, f"unexpected character {word!r}")
                 continue
             elif kind == "end":
-                tokens.append(_Token("eof", "", start))
-                return tokens, diagnostics
-            tokens.append(_Token(kind, word, start))
+                tokens.append(("eof", "", start))
+                return tokens, jumps, diagnostics
+            tokens.append((kind, word, start))
 
 
 # ---- parser ---------------------------------------------------------------
@@ -237,19 +248,19 @@ def _lex(
 class _Parser:
     def __init__(self, file: str, text: str) -> None:
         self._locate = _locator(file, text)
-        self.tokens, self.diagnostics = _lex(text, self._locate)
+        self.tokens, self._jumps, self.diagnostics = _lex(text, self._locate)
         self.pos = 0
         # One slot per template in source order, None until it parses
         # (and for good if it does not); ``positions`` runs in parallel.
         self.templates: list[TemplateDef | None] = []
         self.positions: list[SourcePosition] = []
         self._anon_counters: dict[str, int] = {}
+        self._nesting = 0  # template bodies open around the current token
 
     # -- token plumbing --
 
-    def _peek(self, ahead: int = 0) -> _Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def _advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -259,55 +270,50 @@ class _Parser:
 
     def _at_kw(self, *words: str) -> bool:
         tok = self._peek()
-        return tok.kind == "kw" and tok.text in words
+        return tok[0] == "kw" and tok[1] in words
 
     def _at_punct(self, char: str) -> bool:
         tok = self._peek()
-        return tok.kind == "punct" and tok.text == char
+        return tok[0] == "punct" and tok[1] == char
 
     def _at_op(self, text: str) -> bool:
         tok = self._peek()
-        return tok.kind == "op" and tok.text == text
+        return tok[0] == "op" and tok[1] == text
 
     def _position(self, tok: _Token) -> SourcePosition:
-        return self._locate(tok.offset)
+        return self._locate(tok[2])
 
     def _error(self, tok: _Token, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(self._position(tok), message))
 
     def _describe(self, tok: _Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+        return "end of input" if tok[0] == "eof" else repr(tok[1])
 
     def _expect_ident(self) -> _Token | None:
         tok = self._peek()
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             return self._advance()
         self._error(tok, f"expected identifier, got {self._describe(tok)}")
         return None
-
-    def _expect_punct(self, char: str) -> bool:
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == char:
-            self._advance()
-            return True
-        self._error(tok, f"expected {char!r}, got {self._describe(tok)}")
-        return False
 
     # -- recovery --
 
     def _skip_group(self, open_char: str) -> None:
         """Consume a balanced (), [] or {} group, open token included."""
+        if self.pos in self._jumps:
+            self.pos = self._jumps[self.pos] + 1
+            return
         close_char = {"(": ")", "[": "]", "{": "}"}[open_char]
         depth = 0
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 self._error(tok, f"unexpected end of input, expected {close_char!r}")
                 return
-            if tok.kind == "punct":
-                if tok.text == open_char:
+            if tok[0] == "punct":
+                if tok[1] == open_char:
                     depth += 1
-                elif tok.text == close_char:
+                elif tok[1] == close_char:
                     depth -= 1
                     if depth == 0:
                         self._advance()
@@ -318,25 +324,30 @@ class _Parser:
         """Skip tokens up to a keyword or punctuation mark in ``stops`` at
         bracket depth 0, an unbalanced closing bracket or end of input.
 
-        ( ), [ ] and { } are counted separately, so stop tokens nested
-        inside an expression or argument list do not end the skip.
+        ( ), [ ] and { } are counted separately, so nested stops do not end
+        the skip.  A group in the jump table nests properly: one step passes it.
         """
+        tokens, jumps, pos = self.tokens, self._jumps, self.pos
         depth = {"(": 0, "[": 0, "{": 0}
         while True:
-            tok = self._peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind in ("kw", "punct"):
-                if tok.text in stops and not any(depth.values()):
-                    return
-                if tok.text in depth:
-                    depth[tok.text] += 1
-                elif tok.text in _OPENER:
-                    opener = _OPENER[tok.text]
+            kind, text, _ = tokens[pos]
+            if kind == "eof":
+                break
+            if kind == "kw" or kind == "punct":
+                if text in stops and not any(depth.values()):
+                    break
+                if text in depth:
+                    if pos in jumps:
+                        pos = jumps[pos] + 1
+                        continue
+                    depth[text] += 1
+                elif text in _OPENER:
+                    opener = _OPENER[text]
                     if depth[opener] == 0:
-                        return
+                        break
                     depth[opener] -= 1
-            self._advance()
+            pos += 1
+        self.pos = pos
 
     def _skip_member_tail(self) -> None:
         """Skip an opaque expression or definition tail.
@@ -352,11 +363,11 @@ class _Parser:
         """Top-level recovery: advance to the next plausible definition."""
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 return
-            if tok.kind == "kw" and (
-                tok.text in ("case", "class", "trait", "object")
-                or tok.text in _SOFT_MODIFIERS
+            if tok[0] == "kw" and (
+                tok[1] in ("case", "class", "trait", "object")
+                or tok[1] in _SOFT_MODIFIERS
             ):
                 return
             self._advance()
@@ -368,7 +379,7 @@ class _Parser:
             while self._at_punct(";"):
                 self._advance()
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 return
             self._consume_soft_modifiers()
             if self._at_kw("case", "class", "trait", "object"):
@@ -384,7 +395,7 @@ class _Parser:
                 self._skip_to_template_start()
 
     def _consume_soft_modifiers(self) -> None:
-        while self._peek().kind == "kw" and self._peek().text in _SOFT_MODIFIERS:
+        while self._peek()[0] == "kw" and self._peek()[1] in _SOFT_MODIFIERS:
             self._advance()
 
     def parse_template(self, enclosing: str | None) -> None:
@@ -398,7 +409,7 @@ class _Parser:
                 )
                 self._skip_member_tail()
                 return
-        keyword = self._advance().text  # class | trait | object
+        keyword = self._advance()[1]  # class | trait | object
         name_tok = self._expect_ident()
         if name_tok is None:
             if enclosing is None:
@@ -414,7 +425,7 @@ class _Parser:
         else:
             kind = TemplateKind.TRAIT
 
-        name = f"{enclosing}.{name_tok.text}" if enclosing else name_tok.text
+        name = f"{enclosing}.{name_tok[1]}" if enclosing else name_tok[1]
         slot = len(self.templates)
         self.templates.append(None)
         self.positions.append(self._position(name_tok))
@@ -481,7 +492,7 @@ class _Parser:
         names: list[str] = []
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 self._error(tok, "unexpected end of input, expected ']'")
                 break
             if self._at_punct("]"):
@@ -491,7 +502,7 @@ class _Parser:
                 self._advance()
             name_tok = self._expect_ident()
             if name_tok is not None:
-                names.append(name_tok.text)
+                names.append(name_tok[1])
             # Bounds, context annotations and higher-kinded shapes are
             # skipped up to the next comma or the closing bracket.
             self._skip_type_arg_tail()
@@ -542,7 +553,7 @@ class _Parser:
                 if is_field:
                     fields.append(
                         FieldDecl(
-                            name=name_tok.text,
+                            name=name_tok[1],
                             reassignable=explicit_var,
                             visibility=visibility,
                             declared_type=declared
@@ -558,7 +569,7 @@ class _Parser:
                 self._advance()
                 return
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 self._error(tok, "unexpected end of input, expected ')'")
                 return
             self._error(
@@ -578,34 +589,37 @@ class _Parser:
         visibility = Visibility.PUBLIC
         while True:
             if self._at_kw("private", "protected"):
-                private = self._advance().text == "private"
+                private = self._advance()[1] == "private"
                 if self._at_punct("["):
                     self._skip_group("[")
                 elif private:
                     visibility = Visibility.PRIVATE
-            elif self._peek().kind == "kw" and self._peek().text in _SOFT_MODIFIERS:
+            elif self._peek()[0] == "kw" and self._peek()[1] in _SOFT_MODIFIERS:
                 self._advance()
             else:
                 return visibility
 
-    def _parse_typeref(self) -> TypeRef | None:
+    def _parse_typeref(self, depth: int = 1) -> TypeRef | None:
         name_tok = self._peek()
-        if name_tok.kind != "ident":
+        if depth > MAX_TYPE_DEPTH:
+            self._error(name_tok, f"nesting too deep: over {MAX_TYPE_DEPTH} type levels")
+            return None
+        if name_tok[0] != "ident":
             self._error(
                 name_tok, f"expected a type, got {self._describe(name_tok)}"
             )
             return None
         self._advance()
-        parts = [name_tok.text]
-        while self._at_punct(".") and self._peek(1).kind == "ident":
+        parts = [name_tok[1]]
+        while self._at_punct(".") and self.tokens[self.pos + 1][0] == "ident":
             self._advance()
-            parts.append(self._advance().text)
+            parts.append(self._advance()[1])
         head = ".".join(parts)
         args: list[TypeRef] = []
         if self._at_punct("["):
             self._advance()
             while True:
-                arg = self._parse_typeref()
+                arg = self._parse_typeref(depth + 1)
                 if arg is not None:
                     args.append(arg)
                 else:
@@ -620,7 +634,7 @@ class _Parser:
                 self._error(
                     tok, f"expected ',' or ']', got {self._describe(tok)}"
                 )
-                if tok.kind == "eof":
+                if tok[0] == "eof":
                     break
                 self._skip_type_arg_tail()
                 if self._at_punct(","):
@@ -635,16 +649,16 @@ class _Parser:
         depth = 0
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 return
-            if tok.kind == "punct":
-                if tok.text == "[":
+            if tok[0] == "punct":
+                if tok[1] == "[":
                     depth += 1
-                elif tok.text == "]":
+                elif tok[1] == "]":
                     if depth == 0:
                         return
                     depth -= 1
-                elif tok.text == "," and depth == 0:
+                elif tok[1] == "," and depth == 0:
                     return
             self._advance()
 
@@ -660,17 +674,23 @@ class _Parser:
     def _parse_body(
         self, owner: str, fields: list[FieldDecl], abstract_members: set[str]
     ) -> None:
+        if self._nesting == MAX_TEMPLATE_NESTING:
+            limit = f"over {MAX_TEMPLATE_NESTING} template bodies"
+            self._error(self._peek(), f"nesting too deep: {limit}")
+            self._skip_group("{")
+            return
+        self._nesting += 1
         self._advance()  # {
         while True:
             while self._at_punct(";"):
                 self._advance()
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 self._error(tok, "unexpected end of input, expected '}'")
-                return
+                break
             if self._at_punct("}"):
                 self._advance()
-                return
+                break
 
             visibility = self._parse_modifiers()
             if self._at_kw("val", "var"):
@@ -689,11 +709,12 @@ class _Parser:
                 )
                 self._advance()
                 self._skip_member_tail()
+        self._nesting -= 1
 
     def _parse_field_member(
         self, owner: str, visibility: Visibility, fields: list[FieldDecl]
     ) -> None:
-        reassignable = self._advance().text == "var"
+        reassignable = self._advance()[1] == "var"
         name_tok = self._expect_ident()
         if name_tok is None:
             self._skip_member_tail()
@@ -719,7 +740,7 @@ class _Parser:
             declared_type = TypeRef(INFERRED_HEAD)
         fields.append(
             FieldDecl(
-                name=name_tok.text,
+                name=name_tok[1],
                 reassignable=reassignable,
                 visibility=visibility,
                 declared_type=declared_type,
@@ -783,12 +804,12 @@ class _Parser:
             self._error(
                 self._peek(),
                 f"type aliases are not supported; "
-                f"'type {name_tok.text}' must stay abstract",
+                f"'type {name_tok[1]}' must stay abstract",
             )
             self._advance()
             self._skip_member_tail()
             return
-        abstract_members.add(name_tok.text)
+        abstract_members.add(name_tok[1])
 
 
 def parse_source(file: str, text: str) -> ParseResult:

@@ -10,7 +10,7 @@ import pytest
 
 from scalimm import cli
 from scalimm.cli import run_cli
-from scalimm.ir import load_ir, serialize_ir
+from scalimm.ir import MAX_TEMPLATE_NESTING, MAX_TYPE_DEPTH, load_ir, serialize_ir
 from scalimm.parser import parse_corpus
 
 GOOD_SOURCE = (
@@ -217,6 +217,108 @@ def test_invalid_ir_document_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", document, "--ir"])
     assert code == 1
     assert "templates[0]" in err
+
+
+def _field_document(type_json):
+    """An IR document with one class whose one field has the given type."""
+    return (
+        '{"templates": [{"name": "A", "kind": "class", "type_params": [], '
+        '"abstract_types": [], "parents": [], "fields": [{"name": "f", '
+        f'"var": false, "private": false, "type": {type_json}}}]}}]}}'
+    )
+
+
+@pytest.mark.parametrize(
+    "document, reason",
+    [
+        # Python refuses to convert integers of more than 4,300 digits.
+        ('{"templates": [], "n": ' + "7" * 5000 + "}", "Exceeds the limit"),
+        # The decoder itself runs out of stack before load_ir sees a node.
+        (
+            _field_document(
+                '{"head": "P", "args": [' * 1000 + '{"head": "Int", "args": []}'
+                + "]}" * 1000
+            ),
+            "maximum recursion depth",
+        ),
+    ],
+    ids=["huge-integer", "deep-args-chain"],
+)
+def test_undecodable_ir_document_exits_one(tmp_path, capsys, document, reason):
+    path = tmp_path / "graph.json"
+    path.write_text(document, encoding="utf-8")
+    code, out, err = run(capsys, ["analyze", path, "--ir"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{path}: invalid JSON: ")
+    assert reason in err
+
+
+def _nested_source(shape, depth):
+    """One file whose ``shape`` nests ``depth`` levels, with its outer name."""
+    if shape == "type":
+        ref = "scala.Int"
+        for _ in range(depth - 1):
+            ref = f"P[{ref}]"
+        return f"class P[T](val t: T)\nclass A(val f: {ref})\n", "A"
+    if shape == "objects":
+        return "object O { " * depth + "val x: Int = 1 " + "} " * depth, "O"
+    # The outer object's body is the first level; each anonymous body
+    # opens another.
+    return (
+        "class T\nobject O { " + "val x = new T { " * (depth - 1) + "} " * depth,
+        "O",
+    )
+
+
+#: Per shape: its limit, and where and what the one diagnostic past it is.
+NESTING = {
+    "type": (
+        MAX_TYPE_DEPTH,
+        f"2:{16 + 2 * MAX_TYPE_DEPTH}: nesting too deep: "
+        f"over {MAX_TYPE_DEPTH} type levels",
+    ),
+    "objects": (
+        MAX_TEMPLATE_NESTING,
+        f"1:{10 + 11 * MAX_TEMPLATE_NESTING}: nesting too deep: "
+        f"over {MAX_TEMPLATE_NESTING} template bodies",
+    ),
+    "anon": (
+        MAX_TEMPLATE_NESTING,
+        f"2:{10 + 16 * MAX_TEMPLATE_NESTING}: nesting too deep: "
+        f"over {MAX_TEMPLATE_NESTING} template bodies",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTING))
+def test_nesting_just_inside_the_limit_runs_every_output(tmp_path, capsys, shape):
+    limit, _ = NESTING[shape]
+    text, name = _nested_source(shape, limit - 1)
+    source = tmp_path / "deep.scala"
+    source.write_text(text, encoding="utf-8")
+    outputs = {}
+    for flags in ((), ("--explain", name), ("--format", "json")):
+        code, outputs[flags], _ = run(capsys, ["analyze", source, *flags])
+        assert code == 0
+
+    document = tmp_path / "deep.json"
+    document.write_bytes(serialize_ir(parse_corpus([(str(source), text)]).graph))
+    assert serialize_ir(load_ir(document.read_bytes())) == document.read_bytes()
+    for flags, expected in outputs.items():
+        assert run(capsys, ["analyze", document, "--ir", *flags])[:2] == (0, expected)
+
+
+@pytest.mark.parametrize("excess", [1, 500])
+@pytest.mark.parametrize("shape", sorted(NESTING))
+def test_nesting_past_the_limit_is_one_positioned_diagnostic(
+    tmp_path, capsys, shape, excess
+):
+    limit, diagnostic = NESTING[shape]
+    text, _ = _nested_source(shape, limit + excess)
+    source = tmp_path / "deep.scala"
+    source.write_text(text, encoding="utf-8")
+    assert run(capsys, ["analyze", source]) == (1, "", f"{source}:{diagnostic}\n")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,5 +1,7 @@
 """Frontend parsing: lexing, grammar, desugaring, synthesis, recovery."""
 
+import gc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,15 @@ from scalimm.ir import (
     load_ir,
     serialize_ir,
 )
-from scalimm.parser import parse_corpus, parse_source
+from scalimm.parser import (
+    _MEMBER_TAIL_STOPS,
+    _PARAM_TAIL_STOPS,
+    _Parser,
+    _lex,
+    _locator,
+    parse_corpus,
+    parse_source,
+)
 
 
 def parse_ok(text):
@@ -415,6 +425,80 @@ def test_token_soup_never_raises_and_positions_lie_inside_the_file(text):
         assert 1 <= position.column <= len(lines[position.line - 1]) + 1, str(
             diagnostic
         )
+
+
+# ---- token storage and bracket jumps --------------------------------------
+
+
+def test_lexed_tokens_are_untracked_by_the_cycle_collector():
+    # The collector untracks an exact tuple of strings and ints when it
+    # first examines it; an instance of a tuple subclass stays tracked.
+    text = "\n".join(
+        f'class C{i}(val a: Int) {{ def m(x: Int): Int = {{ f(x, "s") /* {i} */ }} }}'
+        for i in range(7000)
+    )
+    assert 400_000 < len(text.encode()) < 600_000
+    tokens = _lex(text, _locator("big.scala", text))[0]
+    gc.collect()
+    assert [token for token in tokens if gc.is_tracked(token)] == []
+
+
+_CLOSES = {")": "(", "]": "[", "}": "{"}
+
+
+def _reference_skip_until(tokens, pos, stops):
+    """Token-by-token skip with ( ), [ ] and { } counted separately."""
+    depth = {"(": 0, "[": 0, "{": 0}
+    while tokens[pos][0] != "eof":
+        kind, text, _ = tokens[pos]
+        if kind in ("kw", "punct"):
+            if text in stops and not any(depth.values()):
+                break
+            if text in depth:
+                depth[text] += 1
+            elif text in _CLOSES:
+                if depth[_CLOSES[text]] == 0:
+                    break
+                depth[_CLOSES[text]] -= 1
+        pos += 1
+    return pos
+
+
+def _reference_skip_group(tokens, pos):
+    """Token-by-token skip of one group, counting its own bracket kind."""
+    opener = tokens[pos][1]
+    depth = 0
+    while tokens[pos][0] != "eof":
+        text = tokens[pos][1]
+        depth += (text == opener) - (_CLOSES.get(text) == opener)
+        pos += 1
+        if depth == 0:
+            break
+    return pos
+
+
+SKIP_WORDS = ["(", ")", "[", "]", "{", "}"] * 3 + [
+    ";", ",", "val", "def", "class", "x", "y",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SKIP_WORDS), max_size=60), st.integers(min_value=0))
+@example("( ] )".split(), 0)
+@example("{ ( } )".split(), 0)
+@example("{ ( ) [ ] val x".split(), 0)
+@example("val x = { ( ] ) } ; val y".split(), 3)
+def test_bracket_jumps_stop_where_token_by_token_counting_stops(words, start):
+    parser = _Parser("soup.scala", " ".join(words))
+    start %= len(parser.tokens)
+    for stops in (_MEMBER_TAIL_STOPS, _PARAM_TAIL_STOPS):
+        parser.pos = start
+        parser._skip_until(stops)
+        assert parser.pos == _reference_skip_until(parser.tokens, start, stops)
+    if parser.tokens[start][1] in ("(", "[", "{"):
+        parser.pos = start
+        parser._skip_group(parser.tokens[start][1])
+        assert parser.pos == _reference_skip_group(parser.tokens, start)
 
 
 # Well-formed building blocks for whole templates, so that a good share of
