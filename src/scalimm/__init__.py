@@ -29,7 +29,6 @@ from .ir import (
     Visibility,
     build_graph,
     load_ir,
-    resolve_type_ref,
     serialize_ir,
 )
 from .lattice import Verdict, meet, run_fixpoint
@@ -94,7 +93,6 @@ __all__ = [
     "parse_source",
     "render_explanation",
     "render_report",
-    "resolve_type_ref",
     "run_fixpoint",
     "serialize_ir",
     "summarize_by_kind",

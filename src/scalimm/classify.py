@@ -16,16 +16,12 @@ from enum import Enum, IntEnum
 from typing import Mapping
 
 from .ir import (
-    AbstractInScope,
-    Assumed,
-    Internal,
+    INFERRED_HEAD,
     TemplateDef,
     TemplateGraph,
     TypeRef,
     UNPARAMETERIZED_KINDS,
-    Unknown,
     Visibility,
-    resolve_type_ref,
 )
 from .lattice import (
     VERDICT_BY_TOKEN,
@@ -164,10 +160,57 @@ _OUTCOME_ATTRIBUTES = {
     (FieldTypeKind.SHALLOW, False): AttributeKey.FIELD_TYPE_SHALLOW,
 }
 
+#: The verdict and attribute a parent records when its head evaluates below
+#: deep and not conditionally deep, keyed like ``_OUTCOME_ATTRIBUTES``.
+_PARENT_LOWERINGS = {
+    (FieldTypeKind.MUTABLE, False): (Verdict.MUTABLE, AttributeKey.PARENT_MUTABLE),
+    (FieldTypeKind.MUTABLE, True): (Verdict.MUTABLE, AttributeKey.PARENT_ASSUMED_MUTABLE),
+    (FieldTypeKind.UNKNOWN, False): (Verdict.MUTABLE, AttributeKey.PARENT_UNKNOWN),
+    (FieldTypeKind.SHALLOW, False): (Verdict.SHALLOW_IMMUTABLE, AttributeKey.PARENT_SHALLOW),
+}
+
 
 class ClassificationError(ValueError):
     """Ill-formed input reached the classifier, e.g. a template extending
     one of its own type parameters."""
+
+
+def _evaluate_head(
+    ref: TypeRef,
+    scope: TemplateDef,
+    assignment: Mapping[str, Verdict],
+    graph: TemplateGraph,
+    assumptions: Mapping[str, Verdict] | None,
+) -> FieldTypeVerdict | None:
+    """Evaluate a reference head alone, or return None when it is
+    conditionally deep and the arguments decide.
+
+    Checks, in order: the ``$inferred`` placeholder (unknown), a head
+    abstract in scope (abstract, shadowing an equally named template), a
+    graph template (its current verdict), an assumed head (its configured
+    verdict, flagged as assumed when mutable), and anything else (unknown).
+    Matching is exact-string; there is no package-relative lookup.
+    """
+    head = ref.head
+    if head == INFERRED_HEAD:
+        return _UNKNOWN
+    if scope.declares_abstract(head):
+        return _ABSTRACT
+    if head in graph.templates:
+        base = assignment[head]
+    elif assumptions is not None and head in assumptions:
+        base = assumptions[head]
+        if base is Verdict.MUTABLE:
+            return _ASSUMED_MUTABLE
+    else:
+        return _UNKNOWN
+    if base is Verdict.MUTABLE:
+        return _MUTABLE
+    if base is Verdict.SHALLOW_IMMUTABLE:
+        return _SHALLOW
+    if base is Verdict.DEEP_IMMUTABLE:
+        return _DEEP
+    return None
 
 
 def evaluate_field_type(
@@ -179,32 +222,16 @@ def evaluate_field_type(
 ) -> FieldTypeVerdict:
     """Evaluate a declared type against the current verdict assignment.
 
-    Abstract-in-scope heads are abstract; unresolved heads are unknown;
-    assumed and internal heads take their configured or computed verdict.
-    A conditionally deep head is where substitution happens: its arguments
-    are evaluated recursively and the weakest outcome wins, so the generic
-    behaves exactly as if instantiated.  A conditionally deep head with no
-    arguments supplied evaluates abstract when the scope itself has
-    abstract types and unknown otherwise.
+    The head decides unless it is conditionally deep.  That is where
+    substitution happens: its arguments are evaluated recursively and the
+    weakest outcome wins, so the generic behaves exactly as if
+    instantiated.  A conditionally deep head with no arguments supplied
+    evaluates abstract when the scope itself has abstract types and
+    unknown otherwise.
     """
-    resolution = resolve_type_ref(graph, scope, ref, assumptions)
-    if isinstance(resolution, AbstractInScope):
-        return _ABSTRACT
-    if isinstance(resolution, Unknown):
-        return _UNKNOWN
-    if isinstance(resolution, Assumed):
-        base = resolution.verdict
-        if base is Verdict.MUTABLE:
-            return _ASSUMED_MUTABLE
-    else:
-        assert isinstance(resolution, Internal)
-        base = assignment[resolution.name]
-    if base is Verdict.MUTABLE:
-        return _MUTABLE
-    if base is Verdict.SHALLOW_IMMUTABLE:
-        return _SHALLOW
-    if base is Verdict.DEEP_IMMUTABLE:
-        return _DEEP
+    outcome = _evaluate_head(ref, scope, assignment, graph, assumptions)
+    if outcome is not None:
+        return outcome
     if not ref.args:
         return _ABSTRACT if scope.has_abstract_types else _UNKNOWN
     outcomes = [
@@ -269,31 +296,13 @@ def transfer(
             lower(Verdict.MUTABLE, attr, FieldCause(f.name, f.declared_type))
 
     for parent in template.parents:
-        resolution = resolve_type_ref(graph, template, parent, assumptions)
-        if isinstance(resolution, AbstractInScope):
+        outcome = _evaluate_head(parent, template, assignment, graph, assumptions)
+        if outcome is _ABSTRACT:
             raise ClassificationError(
                 f"template {template.name!r}: parent {parent} is abstract in "
                 "its own scope and cannot be extended"
             )
-        if isinstance(resolution, Unknown):
-            lower(Verdict.MUTABLE, AttributeKey.PARENT_UNKNOWN, ParentCause(parent))
-            continue
-        if isinstance(resolution, Assumed):
-            base = resolution.verdict
-            mutable_attr = AttributeKey.PARENT_ASSUMED_MUTABLE
-        else:
-            assert isinstance(resolution, Internal)
-            base = assignment[resolution.name]
-            mutable_attr = AttributeKey.PARENT_MUTABLE
-        if base is Verdict.MUTABLE:
-            lower(Verdict.MUTABLE, mutable_attr, ParentCause(parent))
-        elif base is Verdict.SHALLOW_IMMUTABLE:
-            lower(
-                Verdict.SHALLOW_IMMUTABLE,
-                AttributeKey.PARENT_SHALLOW,
-                ParentCause(parent),
-            )
-        elif base is Verdict.CONDITIONALLY_DEEP:
+        if outcome is None:
             if not parent.args:
                 outcome = _ABSTRACT if template.has_abstract_types else _UNKNOWN
                 apply_outcome(outcome, ParentCause(parent))
@@ -302,6 +311,9 @@ def transfer(
                     arg, template, assignment, graph, assumptions
                 )
                 apply_outcome(outcome, ParentCause(parent, arg))
+        elif outcome is not _DEEP:
+            v, attr = _PARENT_LOWERINGS[outcome.kind, outcome.assumed]
+            lower(v, attr, ParentCause(parent))
 
     for f in template.fields:
         if not f.reassignable:

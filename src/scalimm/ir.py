@@ -1,4 +1,4 @@
-"""Template-graph intermediate representation and type-reference resolution.
+"""Template-graph intermediate representation and its serialized form.
 
 The IR captures exactly what the immutability analysis consumes from a
 corpus: template definitions (classes, traits and objects, plus their case
@@ -11,45 +11,37 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from enum import Enum
 
-if TYPE_CHECKING:
-    from .lattice import Verdict
-
 __all__ = [
     "INFERRED_HEAD",
-    "AbstractInScope",
-    "Assumed",
     "FieldDecl",
     "IRError",
-    "Internal",
     "MAX_TEMPLATE_NESTING",
     "MAX_TYPE_DEPTH",
-    "Resolution",
     "TemplateDef",
     "TemplateGraph",
     "TemplateKind",
     "TypeRef",
     "UNPARAMETERIZED_KINDS",
-    "Unknown",
     "Visibility",
     "build_graph",
     "iter_type_refs",
     "load_ir",
-    "resolve_type_ref",
     "serialize_ir",
     "template_dependencies",
 ]
 
 #: Placeholder head for fields whose declared type the frontend could not
-#: recover (no annotation, initializer skipped).  Resolves to Unknown.
+#: recover (no annotation, initializer skipped).  Always evaluates unknown.
 INFERRED_HEAD = "$inferred"
 
 #: How deep a type (``P[P[Int]]`` is 3 levels) and template bodies, anonymous
-#: ones included, may nest.  The frontend rejects deeper input, which keeps
-#: the parser and the walkers over TypeRef well inside Python's recursion limit.
+#: ones included, may nest.  The frontend rejects deeper input and load_ir
+#: deeper types, which keeps the parser and the walkers over TypeRef well
+#: inside Python's recursion limit.
 MAX_TYPE_DEPTH = 100
 MAX_TEMPLATE_NESTING = 100
 
@@ -174,6 +166,14 @@ class TemplateDef:
         """Whether any type is abstract inside this template's body."""
         return bool(self.type_params) or bool(self.abstract_type_members)
 
+    def declares_abstract(self, head: str) -> bool:
+        """Whether a reference head names a type parameter or abstract type
+        member of this template, shadowing any equally named template.  A
+        dotted head is never abstract."""
+        return "." not in head and (
+            head in self.type_params or head in self.abstract_type_members
+        )
+
 
 @dataclass(frozen=True)
 class TemplateGraph:
@@ -186,71 +186,7 @@ class TemplateGraph:
     dependencies: dict[str, tuple[str, ...]]
 
 
-# ---- resolution -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Internal:
-    """The head names a template defined in the graph."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class AbstractInScope:
-    """The head is a type parameter or abstract type member of the scope."""
-
-    identifier: str
-
-
-@dataclass(frozen=True)
-class Assumed:
-    """The head carries a configured verdict from the assumption list."""
-
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """The head resolves to nothing the analysis can see."""
-
-
-Resolution = Internal | AbstractInScope | Assumed | Unknown
-
-_UNKNOWN = Unknown()
-
-
-def _abstract_in(scope: TemplateDef, head: str) -> bool:
-    """Whether a single-identifier head names a type parameter or abstract
-    type member of scope, shadowing any equally named template."""
-    return "." not in head and (
-        head in scope.type_params or head in scope.abstract_type_members
-    )
-
-
-def resolve_type_ref(
-    graph: TemplateGraph,
-    scope: TemplateDef,
-    ref: TypeRef,
-    assumptions: Mapping[str, Verdict] | None = None,
-) -> Resolution:
-    """Resolve a reference head against scope, graph and assumptions.
-
-    Resolution is total and checks, in order: abstract-in-scope for
-    single-identifier heads (shadowing equally named templates), graph
-    templates, the assumption list, and finally Unknown.  Matching is
-    exact-string; there is no package-relative lookup.
-    """
-    head = ref.head
-    if head == INFERRED_HEAD:
-        return _UNKNOWN
-    if _abstract_in(scope, head):
-        return AbstractInScope(head)
-    if head in graph.templates:
-        return Internal(head)
-    if assumptions is not None and head in assumptions:
-        return Assumed(assumptions[head])
-    return _UNKNOWN
+# ---- reference walking ----------------------------------------------------
 
 
 def iter_type_refs(template: TemplateDef) -> Iterator[TypeRef]:
@@ -292,7 +228,7 @@ def build_graph(templates: Iterable[TemplateDef]) -> TemplateGraph:
         while stack:
             ref = stack.pop()
             head = ref.head
-            if head != INFERRED_HEAD and not _abstract_in(t, head):
+            if head != INFERRED_HEAD and not t.declares_abstract(head):
                 if head in index:
                     internal[head] = None
                 else:
@@ -312,7 +248,9 @@ def _require(condition: bool, message: str, path: str) -> None:
         raise IRError(message, path)
 
 
-def _typeref_from_json(node: object, path: str) -> TypeRef:
+def _typeref_from_json(node: object, path: str, depth: int = 1) -> TypeRef:
+    if depth > MAX_TYPE_DEPTH:
+        raise IRError(f"nesting too deep: over {MAX_TYPE_DEPTH} type levels", path)
     _require(isinstance(node, dict), "expected an object", path)
     assert isinstance(node, dict)
     unknown = set(node) - {"head", "args"}
@@ -322,7 +260,8 @@ def _typeref_from_json(node: object, path: str) -> TypeRef:
     args_node = node.get("args", [])
     _require(isinstance(args_node, list), "args must be a list", f"{path}.args")
     args = tuple(
-        _typeref_from_json(a, f"{path}.args[{i}]") for i, a in enumerate(args_node)
+        _typeref_from_json(a, f"{path}.args[{i}]", depth + 1)
+        for i, a in enumerate(args_node)
     )
     return TypeRef(head, args)
 
@@ -393,8 +332,8 @@ def load_ir(document: bytes | str) -> TemplateGraph:
     """Parse and validate a serialized template graph.
 
     Raises IRError with a path into the document for malformed nodes,
-    duplicate template names, unknown kind strings and kind-invariant
-    violations.  Externals are recomputed, never trusted from the input.
+    types nested deeper than MAX_TYPE_DEPTH, duplicate template names,
+    unknown kind strings and kind-invariant violations.  Externals are recomputed, never trusted from the input.
     """
     if isinstance(document, bytes):
         try:

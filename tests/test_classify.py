@@ -21,6 +21,7 @@ from scalimm.classify import (
     transfer,
 )
 from scalimm.ir import (
+    INFERRED_HEAD,
     FieldDecl,
     TemplateDef,
     TemplateGraph,
@@ -450,45 +451,32 @@ def test_classify_corpus_names_template_on_ill_formed_parent():
 
 
 def _declarative_deep_check(graph, result, assumptions):
-    """Independent restatement: deep means no reassignable field, every
-    parent internally or assumedly deep, every field evaluating deep."""
-    from scalimm.ir import AbstractInScope, Assumed, Internal, resolve_type_ref
+    """Independent restatement: deep means no reassignable field and every
+    parent and value field type deep, where a type is deep when its head is
+    deep, or conditionally deep with arguments that are all deep."""
+
+    def head_verdict(scope, head):
+        if head == INFERRED_HEAD:
+            return None
+        if "." not in head and (
+            head in scope.type_params or head in scope.abstract_type_members
+        ):
+            return None
+        if head in graph.templates:
+            return result.verdicts[head]
+        return (assumptions or {}).get(head)
+
+    def deep(scope, ref):
+        verdict = head_verdict(scope, ref.head)
+        if verdict is Verdict.CONDITIONALLY_DEEP:
+            return bool(ref.args) and all(deep(scope, arg) for arg in ref.args)
+        return verdict is Verdict.DEEP_IMMUTABLE
 
     for name, template in graph.templates.items():
-        expect_deep = True
-        if any(f.reassignable for f in template.fields):
-            expect_deep = False
-        for parent in template.parents:
-            resolution = resolve_type_ref(graph, template, parent, assumptions)
-            if isinstance(resolution, Internal):
-                base = result.verdicts[resolution.name]
-            elif isinstance(resolution, Assumed):
-                base = resolution.verdict
-            else:
-                expect_deep = False
-                continue
-            if base is not Verdict.DEEP_IMMUTABLE:
-                if base is Verdict.CONDITIONALLY_DEEP:
-                    outcomes = [
-                        evaluate_field_type(
-                            arg, template, result.verdicts, graph, assumptions
-                        ).kind
-                        for arg in parent.args
-                    ]
-                    if not parent.args or any(
-                        k is not FieldTypeKind.DEEP for k in outcomes
-                    ):
-                        expect_deep = False
-                else:
-                    expect_deep = False
-        for f in template.fields:
-            if f.reassignable:
-                continue
-            outcome = evaluate_field_type(
-                f.declared_type, template, result.verdicts, graph, assumptions
-            )
-            if outcome.kind is not FieldTypeKind.DEEP:
-                expect_deep = False
+        expect_deep = all(deep(template, p) for p in template.parents) and all(
+            not f.reassignable and deep(template, f.declared_type)
+            for f in template.fields
+        )
         assert (result.verdicts[name] is Verdict.DEEP_IMMUTABLE) == expect_deep, name
 
 

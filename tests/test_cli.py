@@ -321,6 +321,62 @@ def test_nesting_past_the_limit_is_one_positioned_diagnostic(
     assert run(capsys, ["analyze", source]) == (1, "", f"{source}:{diagnostic}\n")
 
 
+def _deep_ir_document(depth):
+    """The IR form of ``_nested_source("type", depth)``: ``class P[T]`` and
+    ``class A`` whose one field's type nests ``depth`` levels."""
+    ref = {"head": "scala.Int", "args": []}
+    for _ in range(depth - 1):
+        ref = {"head": "P", "args": [ref]}
+
+    def template(name, params, field, field_type):
+        return {
+            "name": name,
+            "kind": "class",
+            "type_params": params,
+            "abstract_types": [],
+            "parents": [],
+            "fields": [
+                {"name": field, "var": False, "private": False, "type": field_type}
+            ],
+        }
+
+    doc = {
+        "templates": [
+            template("P", ["T"], "t", {"head": "T", "args": []}),
+            template("A", [], "f", ref),
+        ]
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def test_ir_nesting_at_the_limit_runs_every_output(tmp_path, capsys):
+    document = tmp_path / "deep.json"
+    document.write_bytes(_deep_ir_document(MAX_TYPE_DEPTH))
+    # Both entry points accept the same depth.
+    text, _ = _nested_source("type", MAX_TYPE_DEPTH)
+    source = tmp_path / "deep.scala"
+    source.write_text(text, encoding="utf-8")
+    assert serialize_ir(parse_corpus([(str(source), text)]).graph) == document.read_bytes()
+    assert serialize_ir(load_ir(document.read_bytes())) == document.read_bytes()
+    for flags in ((), ("--explain", "A"), ("--format", "json")):
+        code, out, _ = run(capsys, ["analyze", document, "--ir", *flags])
+        assert code == 0
+        assert run(capsys, ["analyze", source, *flags]) == (0, out, "")
+
+
+@pytest.mark.parametrize("excess", [1, 200])
+def test_ir_nesting_past_the_limit_exits_one(tmp_path, capsys, excess):
+    document = tmp_path / "deep.json"
+    document.write_bytes(_deep_ir_document(MAX_TYPE_DEPTH + excess))
+    path = "templates[1].fields[0].type" + ".args[0]" * MAX_TYPE_DEPTH
+    for flags in ((), ("--explain", "A")):
+        assert run(capsys, ["analyze", document, "--ir", *flags]) == (
+            1,
+            "",
+            f"{document}: {path}: nesting too deep: over {MAX_TYPE_DEPTH} type levels\n",
+        )
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli([]) == 2
     capsys.readouterr()

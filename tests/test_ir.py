@@ -6,21 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scalimm.classify import (
+    AttributeKey,
+    ClassificationError,
+    FieldTypeKind,
+    FieldTypeVerdict,
+    evaluate_field_type,
+    transfer,
+)
 from scalimm.ir import (
-    AbstractInScope,
-    Assumed,
     FieldDecl,
     INFERRED_HEAD,
     IRError,
-    Internal,
+    MAX_TYPE_DEPTH,
     TemplateDef,
     TemplateKind,
     TypeRef,
-    Unknown,
     Visibility,
     build_graph,
+    iter_type_refs,
     load_ir,
-    resolve_type_ref,
     serialize_ir,
     template_dependencies,
 )
@@ -113,7 +118,17 @@ def test_has_abstract_types():
     assert membered.has_abstract_types
 
 
-# ---- resolution -----------------------------------------------------------
+# ---- head resolution ------------------------------------------------------
+#
+# A head is resolved where it is evaluated: evaluate_field_type for field
+# types and type arguments, transfer for parents.  The scope rule itself is
+# TemplateDef.declares_abstract.
+
+ABSTRACT = FieldTypeVerdict(FieldTypeKind.ABSTRACT)
+UNKNOWN = FieldTypeVerdict(FieldTypeKind.UNKNOWN)
+DEEP = FieldTypeVerdict(FieldTypeKind.DEEP)
+MUTABLE = FieldTypeVerdict(FieldTypeKind.MUTABLE)
+ASSUMED_MUTABLE = FieldTypeVerdict(FieldTypeKind.MUTABLE, assumed=True)
 
 
 @pytest.fixture
@@ -126,16 +141,47 @@ def little_graph():
     )
 
 
-def test_resolution_order(little_graph):
-    scope = little_graph.templates["P"]
-    assumptions = {"lib.Buf": Verdict.MUTABLE}
+def evaluate(graph, scope_name, head, assignment=None, assumptions=None):
+    if assignment is None:
+        assignment = {name: Verdict.DEEP_IMMUTABLE for name in graph.templates}
+    return evaluate_field_type(
+        TypeRef(head), graph.templates[scope_name], assignment, graph, assumptions
+    )
 
-    assert resolve_type_ref(little_graph, scope, TypeRef("T")) == AbstractInScope("T")
-    assert resolve_type_ref(little_graph, scope, TypeRef("Q")) == Internal("Q")
-    assert resolve_type_ref(
-        little_graph, scope, TypeRef("lib.Buf"), assumptions
-    ) == Assumed(Verdict.MUTABLE)
-    assert resolve_type_ref(little_graph, scope, TypeRef("x.y.Z")) == Unknown()
+
+def test_resolution_order(little_graph):
+    # Abstract in scope, then graph template, then assumption, then unknown.
+    # Q is mutable here so that the graph verdict is told apart from the
+    # deep assumption that loses to it.
+    assignment = {"P": Verdict.DEEP_IMMUTABLE, "Q": Verdict.MUTABLE}
+    assumptions = {
+        "T": Verdict.DEEP_IMMUTABLE,
+        "Q": Verdict.DEEP_IMMUTABLE,
+        "lib.Buf": Verdict.MUTABLE,
+    }
+
+    def head(name):
+        return evaluate(little_graph, "P", name, assignment, assumptions)
+
+    assert head("T") == ABSTRACT
+    assert head("Q") == MUTABLE
+    assert head("lib.Buf") == ASSUMED_MUTABLE
+    assert head("x.y.Z") == UNKNOWN
+
+    # The same order for parents: internal mutable is B, assumed mutable A,
+    # unresolved E.
+    child = TemplateDef(
+        name="R",
+        kind=TemplateKind.CLASS,
+        parents=(TypeRef("Q"), TypeRef("lib.Buf"), TypeRef("x.y.Z")),
+    )
+    result = transfer(child, assignment, little_graph, assumptions)
+    assert result.verdict is Verdict.MUTABLE
+    assert [record.attribute for record in result.evidence] == [
+        AttributeKey.PARENT_MUTABLE,
+        AttributeKey.PARENT_ASSUMED_MUTABLE,
+        AttributeKey.PARENT_UNKNOWN,
+    ]
 
 
 def test_abstract_in_scope_shadows_graph_templates():
@@ -145,33 +191,58 @@ def test_abstract_in_scope_shadows_graph_templates():
             TemplateDef(name="S", kind=TemplateKind.CLASS, type_params=("T",)),
         ]
     )
-    scope = graph.templates["S"]
-    assert resolve_type_ref(graph, scope, TypeRef("T")) == AbstractInScope("T")
-    other = graph.templates["T"]
-    assert resolve_type_ref(graph, other, TypeRef("T")) == Internal("T")
+    assignment = {"T": Verdict.MUTABLE, "S": Verdict.DEEP_IMMUTABLE}
+    assert evaluate(graph, "S", "T", assignment) == ABSTRACT
+    assert evaluate(graph, "T", "T", assignment) == MUTABLE
+    # As a parent, the shadowed head is the template's own type parameter.
+    extending = TemplateDef(
+        name="S", kind=TemplateKind.CLASS, type_params=("T",), parents=(TypeRef("T"),)
+    )
+    with pytest.raises(ClassificationError, match="abstract in its own scope"):
+        transfer(extending, assignment, graph)
 
 
 def test_inferred_head_always_resolves_unknown(little_graph):
-    scope = little_graph.templates["Q"]
     assumptions = {INFERRED_HEAD: Verdict.DEEP_IMMUTABLE}
-    assert (
-        resolve_type_ref(little_graph, scope, TypeRef(INFERRED_HEAD), assumptions)
-        == Unknown()
-    )
+    assert evaluate(little_graph, "Q", INFERRED_HEAD, assumptions=assumptions) == UNKNOWN
 
 
 def test_abstractness_is_scope_relative(little_graph):
     # T is a type parameter of P, but inside Q it resolves to nothing.
-    scope = little_graph.templates["Q"]
-    assert resolve_type_ref(little_graph, scope, TypeRef("T")) == Unknown()
+    assert evaluate(little_graph, "P", "T") == ABSTRACT
+    assert evaluate(little_graph, "Q", "T") == UNKNOWN
+
+
+def test_declares_abstract_never_matches_a_dotted_head():
+    scope = TemplateDef(
+        name="S",
+        kind=TemplateKind.TRAIT,
+        type_params=("T", "a.B"),
+        abstract_type_members=frozenset({"M", "x.Y"}),
+    )
+    assert scope.declares_abstract("T")
+    assert scope.declares_abstract("M")
+    assert not scope.declares_abstract("a.B")
+    assert not scope.declares_abstract("x.Y")
+    assert not scope.declares_abstract("S")
+    assert not scope.declares_abstract("U")
 
 
 @given(st.text(alphabet="ABC.xyz", min_size=1, max_size=8))
 def test_resolution_is_total(head):
-    graph = build_graph([TemplateDef(name="A", kind=TemplateKind.CLASS)])
-    scope = graph.templates["A"]
-    resolution = resolve_type_ref(graph, scope, TypeRef(head))
-    assert isinstance(resolution, (Internal, AbstractInScope, Unknown))
+    graph = build_graph(
+        [
+            TemplateDef(name="A", kind=TemplateKind.CLASS, type_params=("B",)),
+            TemplateDef(name="C", kind=TemplateKind.CLASS),
+        ]
+    )
+    if head == "B":
+        expected = ABSTRACT
+    elif head in graph.templates:
+        expected = DEEP
+    else:
+        expected = UNKNOWN
+    assert evaluate(graph, "A", head) == expected
 
 
 # ---- dependencies and externals -------------------------------------------
@@ -349,6 +420,38 @@ def test_load_rejects_malformed_nodes_with_paths():
             )
         )
     assert info.value.path == "templates[0].parents[0].head"
+
+
+def nested_type(depth):
+    """``P[P[...[Int]]]``, ``depth`` levels deep, as a document node."""
+    node = {"head": "Int"}
+    for _ in range(depth - 1):
+        node = {"head": "P", "args": [node]}
+    return node
+
+
+@given(st.integers(min_value=1, max_value=2 * MAX_TYPE_DEPTH), st.booleans())
+def test_load_rejects_types_past_the_depth_limit(depth, as_parent):
+    template = {"name": "A", "kind": "class"}
+    if as_parent:
+        template["parents"] = [nested_type(depth)]
+        path = "templates[0].parents[0]"
+    else:
+        field = {"name": "f", "var": False, "private": False, "type": nested_type(depth)}
+        template["fields"] = [field]
+        path = "templates[0].fields[0].type"
+    if depth > MAX_TYPE_DEPTH:
+        with pytest.raises(IRError, match="nesting too deep") as info:
+            load_ir(doc([template]))
+        # The path names the first node past the limit.
+        assert info.value.path == path + ".args[0]" * MAX_TYPE_DEPTH
+        return
+    loaded = next(iter_type_refs(load_ir(doc([template])).templates["A"]))
+    levels = 1
+    while loaded.args:
+        (loaded,) = loaded.args
+        levels += 1
+    assert levels == depth
 
 
 def test_round_trip_is_structure_preserving_and_byte_stable():
