@@ -224,21 +224,24 @@ def evaluate_field_type(
 
     The head decides unless it is conditionally deep.  That is where
     substitution happens: its arguments are evaluated recursively and the
-    weakest outcome wins, so the generic behaves exactly as if
-    instantiated.  A conditionally deep head with no arguments supplied
-    evaluates abstract when the scope itself has abstract types and
-    unknown otherwise.
+    weakest outcome wins (the first of equally weak ones), so the generic
+    behaves exactly as if instantiated.  A conditionally deep head with no
+    arguments supplied evaluates abstract when the scope itself has
+    abstract types and unknown otherwise.
     """
     outcome = _evaluate_head(ref, scope, assignment, graph, assumptions)
     if outcome is not None:
         return outcome
     if not ref.args:
         return _ABSTRACT if scope.has_abstract_types else _UNKNOWN
-    outcomes = [
-        evaluate_field_type(arg, scope, assignment, graph, assumptions)
-        for arg in ref.args
-    ]
-    return min(outcomes, key=lambda o: o.kind)
+    weakest = _DEEP
+    for arg in ref.args:
+        outcome = evaluate_field_type(arg, scope, assignment, graph, assumptions)
+        if outcome.kind < weakest.kind:
+            if outcome.kind is FieldTypeKind.MUTABLE:
+                return outcome  # nothing is weaker
+            weakest = outcome
+    return weakest
 
 
 def transfer(
@@ -274,10 +277,9 @@ def transfer(
     def apply_outcome(
         outcome: FieldTypeVerdict, cause: ParentCause | FieldCause
     ) -> None:
+        # Callers skip _DEEP, the one deep outcome evaluation returns.
         nonlocal verdict
         kind = outcome.kind
-        if kind is FieldTypeKind.DEEP:
-            return
         if kind is FieldTypeKind.ABSTRACT:
             if not collapse_abstract:
                 verdict = meet(verdict, Verdict.CONDITIONALLY_DEEP)
@@ -310,7 +312,8 @@ def transfer(
                 outcome = evaluate_field_type(
                     arg, template, assignment, graph, assumptions
                 )
-                apply_outcome(outcome, ParentCause(parent, arg))
+                if outcome is not _DEEP:
+                    apply_outcome(outcome, ParentCause(parent, arg))
         elif outcome is not _DEEP:
             v, attr = _PARENT_LOWERINGS[outcome.kind, outcome.assumed]
             lower(v, attr, ParentCause(parent))
@@ -320,7 +323,8 @@ def transfer(
             outcome = evaluate_field_type(
                 f.declared_type, template, assignment, graph, assumptions
             )
-            apply_outcome(outcome, FieldCause(f.name, f.declared_type))
+            if outcome is not _DEEP:
+                apply_outcome(outcome, FieldCause(f.name, f.declared_type))
 
     return TransferResult(verdict, tuple(evidence))
 

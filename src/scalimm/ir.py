@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from enum import Enum
 
@@ -241,99 +241,115 @@ def build_graph(templates: Iterable[TemplateDef]) -> TemplateGraph:
 # ---- serialized form ------------------------------------------------------
 
 _KIND_BY_STRING = {k.value: k for k in TemplateKind}
+_TEMPLATE_KEYS = frozenset({"name", "kind", "type_params", "abstract_types", "parents", "fields"})
+_FIELD_KEYS = frozenset({"name", "var", "private", "type"})
+_TYPE_KEYS = frozenset({"head", "args"})
 
 
-def _require(condition: bool, message: str, path: str) -> None:
-    if not condition:
-        raise IRError(message, path)
+class _Invalid(Exception):
+    """A malformed node, with a path relative to the node that was checked.
+    Each enclosing level prepends its own segment as the error unwinds, so
+    loading a valid document formats no path at all."""
+
+    def __init__(self, message: str, path: str = "") -> None:
+        self.message = message
+        self.path = path
+
+    def within(self, segment: str) -> _Invalid:
+        self.path = segment + self.path
+        return self
 
 
-def _typeref_from_json(node: object, path: str, depth: int = 1) -> TypeRef:
-    if depth > MAX_TYPE_DEPTH:
-        raise IRError(f"nesting too deep: over {MAX_TYPE_DEPTH} type levels", path)
-    _require(isinstance(node, dict), "expected an object", path)
-    assert isinstance(node, dict)
-    unknown = set(node) - {"head", "args"}
-    _require(not unknown, f"unexpected keys {sorted(unknown)}", path)
-    head = node.get("head")
-    _require(isinstance(head, str) and head != "", "head must be a non-empty string", f"{path}.head")
-    args_node = node.get("args", [])
-    _require(isinstance(args_node, list), "args must be a list", f"{path}.args")
-    args = tuple(
-        _typeref_from_json(a, f"{path}.args[{i}]", depth + 1)
-        for i, a in enumerate(args_node)
-    )
-    return TypeRef(head, args)
+def _object(node: object, keys: frozenset[str]) -> dict:
+    """``node`` itself, checked to be an object with no key outside ``keys``."""
+    if not isinstance(node, dict):
+        raise _Invalid("expected an object")
+    if not node.keys() <= keys:
+        raise _Invalid(f"unexpected keys {sorted(node.keys() - keys)}")
+    return node
 
 
-def _field_from_json(node: object, path: str) -> FieldDecl:
-    _require(isinstance(node, dict), "expected an object", path)
-    assert isinstance(node, dict)
-    for key, typ in (("name", str), ("var", bool), ("private", bool)):
-        _require(key in node, f"missing key {key!r}", path)
-        _require(isinstance(node[key], typ), f"{key} must be {typ.__name__}", f"{path}.{key}")
-    _require("type" in node, "missing key 'type'", path)
-    return FieldDecl(
-        name=node["name"],
-        reassignable=node["var"],
-        visibility=Visibility.PRIVATE if node["private"] else Visibility.PUBLIC,
-        declared_type=_typeref_from_json(node["type"], f"{path}.type"),
-    )
-
-
-def _template_from_json(node: object, path: str) -> TemplateDef:
-    _require(isinstance(node, dict), "expected an object", path)
-    assert isinstance(node, dict)
-    name = node.get("name")
-    _require(isinstance(name, str) and name != "", "name must be a non-empty string", f"{path}.name")
-    kind_str = node.get("kind")
-    _require(isinstance(kind_str, str), "kind must be a string", f"{path}.kind")
-    kind = _KIND_BY_STRING.get(kind_str)
-    _require(kind is not None, f"unknown kind {kind_str!r}", f"{path}.kind")
-    assert kind is not None
-    tp_node = node.get("type_params", [])
-    _require(
-        isinstance(tp_node, list) and all(isinstance(p, str) for p in tp_node),
-        "type_params must be a list of strings",
-        f"{path}.type_params",
-    )
-    at_node = node.get("abstract_types", [])
-    _require(
-        isinstance(at_node, list) and all(isinstance(a, str) for a in at_node),
-        "abstract_types must be a list of strings",
-        f"{path}.abstract_types",
-    )
-    parents_node = node.get("parents", [])
-    _require(isinstance(parents_node, list), "parents must be a list", f"{path}.parents")
-    fields_node = node.get("fields", [])
-    _require(isinstance(fields_node, list), "fields must be a list", f"{path}.fields")
+def _each(parse: Callable[..., object], nodes: list, segment: str, *extra: int) -> tuple:
+    """``parse`` applied to every item of ``nodes``, in order."""
+    items = []
     try:
-        return TemplateDef(
-            name=name,
-            kind=kind,
-            type_params=tuple(tp_node),
-            abstract_type_members=frozenset(at_node),
-            parents=tuple(
-                _typeref_from_json(p, f"{path}.parents[{i}]")
-                for i, p in enumerate(parents_node)
-            ),
-            fields=tuple(
-                _field_from_json(f, f"{path}.fields[{i}]")
-                for i, f in enumerate(fields_node)
-            ),
-        )
+        for node in nodes:
+            items.append(parse(node, *extra))
+    except _Invalid as exc:
+        raise exc.within(f"{segment}[{len(items)}]")
+    return tuple(items)
+
+
+def _typeref_from_json(node: object, depth: int = 1) -> TypeRef:
+    if depth > MAX_TYPE_DEPTH:
+        raise _Invalid(f"nesting too deep: over {MAX_TYPE_DEPTH} type levels")
+    node = _object(node, _TYPE_KEYS)
+    head = node.get("head")
+    if not isinstance(head, str) or not head:
+        raise _Invalid("head must be a non-empty string", ".head")
+    args_node = node.get("args", [])
+    if not isinstance(args_node, list):
+        raise _Invalid("args must be a list", ".args")
+    if not args_node:
+        return TypeRef(head)
+    return TypeRef(head, _each(_typeref_from_json, args_node, ".args", depth + 1))
+
+
+def _field_from_json(node: object) -> FieldDecl:
+    node = _object(node, _FIELD_KEYS)
+    for key, typ in (("name", str), ("var", bool), ("private", bool)):
+        if key not in node:
+            raise _Invalid(f"missing key {key!r}")
+        if not isinstance(node[key], typ):
+            raise _Invalid(f"{key} must be {typ.__name__}", f".{key}")
+    if "type" not in node:
+        raise _Invalid("missing key 'type'")
+    visibility = Visibility.PRIVATE if node["private"] else Visibility.PUBLIC
+    try:
+        return FieldDecl(node["name"], node["var"], visibility, _typeref_from_json(node["type"]))
+    except _Invalid as exc:
+        raise exc.within(".type")
+
+
+def _template_from_json(node: object) -> TemplateDef:
+    node = _object(node, _TEMPLATE_KEYS)
+    name = node.get("name")
+    if not isinstance(name, str) or not name:
+        raise _Invalid("name must be a non-empty string", ".name")
+    kind_str = node.get("kind")
+    if not isinstance(kind_str, str):
+        raise _Invalid("kind must be a string", ".kind")
+    kind = _KIND_BY_STRING.get(kind_str)
+    if kind is None:
+        raise _Invalid(f"unknown kind {kind_str!r}", ".kind")
+    tp_node = node.get("type_params", [])
+    if not isinstance(tp_node, list) or not all(isinstance(p, str) for p in tp_node):
+        raise _Invalid("type_params must be a list of strings", ".type_params")
+    at_node = node.get("abstract_types", [])
+    if not isinstance(at_node, list) or not all(isinstance(a, str) for a in at_node):
+        raise _Invalid("abstract_types must be a list of strings", ".abstract_types")
+    parents_node = node.get("parents", [])
+    if not isinstance(parents_node, list):
+        raise _Invalid("parents must be a list", ".parents")
+    fields_node = node.get("fields", [])
+    if not isinstance(fields_node, list):
+        raise _Invalid("fields must be a list", ".fields")
+    parents = _each(_typeref_from_json, parents_node, ".parents")
+    fields = _each(_field_from_json, fields_node, ".fields")
+    try:
+        return TemplateDef(name, kind, tuple(tp_node), frozenset(at_node), parents, fields)
     except ValueError as exc:
-        if isinstance(exc, IRError):
-            raise
-        raise IRError(str(exc), path) from None
+        raise _Invalid(str(exc)) from None
 
 
 def load_ir(document: bytes | str) -> TemplateGraph:
     """Parse and validate a serialized template graph.
 
-    Raises IRError with a path into the document for malformed nodes,
+    Raises IRError with a path into the document for malformed nodes, keys
+    a node does not define (a misspelt key is never silently dropped),
     types nested deeper than MAX_TYPE_DEPTH, duplicate template names,
-    unknown kind strings and kind-invariant violations.  Externals are recomputed, never trusted from the input.
+    unknown kind strings and kind-invariant violations.  Externals are
+    recomputed, never trusted from the input.
     """
     if isinstance(document, bytes):
         try:
@@ -344,25 +360,32 @@ def load_ir(document: bytes | str) -> TemplateGraph:
         root = json.loads(document)
     except (ValueError, RecursionError) as exc:  # syntax, huge ints, depth
         raise IRError(f"invalid JSON: {exc}") from None
-    _require(isinstance(root, dict), "expected a top-level object", "$")
-    assert isinstance(root, dict)
-    _require("templates" in root, "missing key 'templates'", "$")
+    if not isinstance(root, dict):
+        raise IRError("expected a top-level object", "$")
+    unknown = sorted(root.keys() - {"templates"})
+    if unknown:
+        raise IRError(f"unexpected keys {unknown}", "$")
+    if "templates" not in root:
+        raise IRError("missing key 'templates'", "$")
     templates_node = root["templates"]
-    _require(isinstance(templates_node, list), "templates must be a list", "$.templates")
+    if not isinstance(templates_node, list):
+        raise IRError("templates must be a list", "$.templates")
 
     templates: list[TemplateDef] = []
     seen: dict[str, int] = {}
-    for i, node in enumerate(templates_node):
-        path = f"templates[{i}]"
-        t = _template_from_json(node, path)
-        if t.name in seen:
-            raise IRError(
-                f"duplicate template name {t.name!r} "
-                f"(first defined at templates[{seen[t.name]}])",
-                f"{path}.name",
-            )
-        seen[t.name] = i
-        templates.append(t)
+    try:
+        for i, node in enumerate(templates_node):
+            t = _template_from_json(node)
+            if t.name in seen:
+                raise IRError(
+                    f"duplicate template name {t.name!r} "
+                    f"(first defined at templates[{seen[t.name]}])",
+                    f"templates[{i}].name",
+                )
+            seen[t.name] = i
+            templates.append(t)
+    except _Invalid as exc:
+        raise IRError(exc.message, f"templates[{len(templates)}]{exc.path}") from None
     return build_graph(templates)
 
 

@@ -69,6 +69,8 @@ def make_graph(
     most ``mention_cap`` distinct graph templates so the enumeration
     oracle's per-template tables stay small.  Parent heads never collide
     with the template's own abstract names, keeping inputs well formed.
+    Half the assumption lists also name a graph template, whose own
+    verdict must win over the assumed one.
     """
     n = rng.randint(min_templates, max_templates)
     names = [f"G{i}" for i in range(n)]
@@ -167,6 +169,8 @@ def make_graph(
             )
         )
 
+    if rng.random() < 0.5:
+        assumptions[rng.choice(names)] = rng.choice(_ASSUMED_VERDICTS)
     return build_graph(templates), assumptions
 
 

@@ -397,6 +397,34 @@ def test_fold_takes_weakest_argument_by_severity():
     ).kind is FieldTypeKind.DEEP
 
 
+def test_fold_keeps_the_first_of_equally_weak_arguments():
+    # An assumed-mutable and a mutable argument are equally weak; the one
+    # written first decides between attribute I and attribute H.
+    p = mk("P", params=["X", "Y"], fields=[val("x", "X"), val("y", "Y")])
+    m = mk("M", fields=[var("n", "scala.Int")])
+    buf_first = TypeRef("P", (TypeRef("lib.Buf"), TypeRef("M")))
+    m_first = TypeRef("P", (TypeRef("M"), TypeRef("lib.Buf")))
+    assumptions = {"lib.Buf": Verdict.MUTABLE}
+
+    fields = run_one(
+        mk("C", fields=[val("a", buf_first), val("b", m_first)]),
+        p,
+        m,
+        assumptions=assumptions,
+    )
+    assert [(r.attribute, r.cause.field) for r in fields.evidence] == [
+        (A.FIELD_TYPE_ASSUMED_MUTABLE, "a"),
+        (A.FIELD_TYPE_MUTABLE, "b"),
+    ]
+
+    parent = TypeRef("P", (buf_first, m_first))
+    parents = run_one(mk("D", parents=[parent]), p, m, assumptions=assumptions)
+    assert [(r.attribute, r.cause) for r in parents.evidence] == [
+        (A.FIELD_TYPE_ASSUMED_MUTABLE, ParentCause(parent, buf_first)),
+        (A.FIELD_TYPE_MUTABLE, ParentCause(parent, m_first)),
+    ]
+
+
 def test_non_conditional_base_ignores_arguments():
     # A shallow head with a mutable argument stays shallow: the head's own
     # verdict is not conditional, so arguments are not consulted.
@@ -503,6 +531,10 @@ def test_structural_properties_on_random_graphs():
                 assert attrs == frozenset()
             assert {r.attribute for r in result.evidence[name]} == attrs
         _declarative_deep_check(graph, result, assumptions)
+        # A graph template's own verdict wins over an assumption for its
+        # name, so dropping such assumptions changes nothing.
+        unshadowed = {n: v for n, v in assumptions.items() if n not in graph.templates}
+        assert classify_corpus(graph, unshadowed) == result
 
 
 # ---- monomorphization equivalence ----------------------------------------

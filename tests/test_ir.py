@@ -422,6 +422,223 @@ def test_load_rejects_malformed_nodes_with_paths():
     assert info.value.path == "templates[0].parents[0].head"
 
 
+def valid_document():
+    """A document that loads, with one node of every sort to corrupt.
+    ``templates[1].fields[0].type`` is ``Map[K, Box[scala.Int]]``."""
+    return {
+        "templates": [
+            {
+                "name": "Box",
+                "kind": "class",
+                "type_params": ["T"],
+                "abstract_types": [],
+                "parents": [],
+                "fields": [
+                    {"name": "v", "var": False, "private": False, "type": {"head": "T"}}
+                ],
+            },
+            {
+                "name": "A",
+                "kind": "class",
+                "type_params": [],
+                "abstract_types": ["M"],
+                "parents": [{"head": "Box", "args": [{"head": "M"}]}],
+                "fields": [
+                    {
+                        "name": "x",
+                        "var": False,
+                        "private": True,
+                        "type": {
+                            "head": "Map",
+                            "args": [
+                                {"head": "K"},
+                                {"head": "Box", "args": [{"head": "scala.Int", "args": []}]},
+                            ],
+                        },
+                    }
+                ],
+            },
+        ]
+    }
+
+
+def templates(d):
+    return d["templates"]
+
+
+def template(d):
+    return templates(d)[1]
+
+
+def fields(d):
+    return template(d)["fields"]
+
+
+def field(d):
+    return fields(d)[0]
+
+
+def field_type(d):
+    return field(d)["type"]
+
+
+def inner_args(d):
+    return field_type(d)["args"][1]["args"]
+
+
+def inner_type(d):
+    return inner_args(d)[0]
+
+
+def setting(node, key, value):
+    def edit(d):
+        node(d)[key] = value
+    return edit
+
+
+def deleting(node, key):
+    def edit(d):
+        del node(d)[key]
+    return edit
+
+
+T = "templates[1]"
+F = f"{T}.fields[0]"
+TY = f"{F}.type"
+INNER = f"{TY}.args[1].args[0]"
+
+#: One corrupted node per case: the edit, then the exact path and message.
+LOADER_DIAGNOSTICS = [
+    # top level
+    ("not-utf8", b"\xff", None,
+     "document is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+    ("bad-json", b"{", None,
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("root-list", b"[]", "$", "expected a top-level object"),
+    ("root-no-templates", b"{}", "$", "missing key 'templates'"),
+    ("templates-object", b'{"templates": {}}', "$.templates", "templates must be a list"),
+    ("duplicate-name", setting(template, "name", "Box"), f"{T}.name",
+     "duplicate template name 'Box' (first defined at templates[0])"),
+    # template
+    ("template-list", setting(templates, 1, []), T, "expected an object"),
+    ("name-missing", deleting(template, "name"), f"{T}.name", "name must be a non-empty string"),
+    ("name-empty", setting(template, "name", ""), f"{T}.name", "name must be a non-empty string"),
+    ("name-int", setting(template, "name", 3), f"{T}.name", "name must be a non-empty string"),
+    ("kind-missing", deleting(template, "kind"), f"{T}.kind", "kind must be a string"),
+    ("kind-int", setting(template, "kind", 3), f"{T}.kind", "kind must be a string"),
+    ("kind-unknown", setting(template, "kind", "struct"), f"{T}.kind", "unknown kind 'struct'"),
+    ("type-params-str", setting(template, "type_params", "T"), f"{T}.type_params",
+     "type_params must be a list of strings"),
+    ("type-params-int", setting(template, "type_params", [1]), f"{T}.type_params",
+     "type_params must be a list of strings"),
+    ("abstract-types-object", setting(template, "abstract_types", {}), f"{T}.abstract_types",
+     "abstract_types must be a list of strings"),
+    ("abstract-types-null", setting(template, "abstract_types", [None]), f"{T}.abstract_types",
+     "abstract_types must be a list of strings"),
+    ("parents-object", setting(template, "parents", {}), f"{T}.parents",
+     "parents must be a list"),
+    ("fields-str", setting(template, "fields", "x"), f"{T}.fields", "fields must be a list"),
+    # template kind invariants
+    ("object-with-members", setting(template, "kind", "object"), T,
+     "object template 'A' cannot have type parameters or abstract type members"),
+    ("param-and-member", setting(template, "type_params", ["M"]), T,
+     "template 'A': ['M'] declared both as type parameter and abstract type member"),
+    ("anon-without-parent",
+     lambda d: template(d).update(kind="anon_class", abstract_types=[], parents=[]), T,
+     "anonymous class 'A' must have exactly one parent, got 0"),
+    ("duplicate-field", lambda d: fields(d).append(dict(field(d))), T,
+     "template 'A': duplicate field name 'x'"),
+    # field
+    ("field-int", setting(fields, 0, 5), F, "expected an object"),
+    ("field-name-missing", deleting(field, "name"), F, "missing key 'name'"),
+    ("field-name-int", setting(field, "name", 1), f"{F}.name", "name must be str"),
+    ("field-var-missing", deleting(field, "var"), F, "missing key 'var'"),
+    ("field-var-str", setting(field, "var", "no"), f"{F}.var", "var must be bool"),
+    ("field-var-int", setting(field, "var", 0), f"{F}.var", "var must be bool"),
+    ("field-private-missing", deleting(field, "private"), F, "missing key 'private'"),
+    ("field-private-null", setting(field, "private", None), f"{F}.private",
+     "private must be bool"),
+    ("field-type-missing", deleting(field, "type"), F, "missing key 'type'"),
+    ("field-type-str", setting(field, "type", "Int"), TY, "expected an object"),
+    # type node
+    ("type-unexpected-key", setting(field_type, "arity", 2), TY, "unexpected keys ['arity']"),
+    ("type-unexpected-keys", lambda d: field_type(d).update(b=1, a=2), TY,
+     "unexpected keys ['a', 'b']"),
+    ("head-missing", deleting(field_type, "head"), f"{TY}.head",
+     "head must be a non-empty string"),
+    ("head-empty", setting(field_type, "head", ""), f"{TY}.head",
+     "head must be a non-empty string"),
+    ("head-int", setting(field_type, "head", 7), f"{TY}.head",
+     "head must be a non-empty string"),
+    ("args-object", setting(field_type, "args", {}), f"{TY}.args", "args must be a list"),
+    ("args-null", setting(field_type, "args", None), f"{TY}.args", "args must be a list"),
+    ("inner-str", setting(inner_args, 0, "Int"), INNER, "expected an object"),
+    ("inner-head-empty", setting(inner_type, "head", ""), f"{INNER}.head",
+     "head must be a non-empty string"),
+    ("inner-args-str", setting(inner_type, "args", "x"), f"{INNER}.args",
+     "args must be a list"),
+    ("parent-arg-head-missing",
+     lambda d: template(d)["parents"][0]["args"][0].pop("head"),
+     f"{T}.parents[0].args[0].head", "head must be a non-empty string"),
+    ("parent-null", setting(lambda d: template(d)["parents"], 0, None),
+     f"{T}.parents[0]", "expected an object"),
+    ("too-deep", lambda d: field(d).update(type=nested_type(MAX_TYPE_DEPTH + 1)),
+     TY + ".args[0]" * MAX_TYPE_DEPTH, f"nesting too deep: over {MAX_TYPE_DEPTH} type levels"),
+]
+
+
+def load_corrupted(edit):
+    if isinstance(edit, bytes):
+        return load_ir(edit)
+    document = valid_document()
+    edit(document)
+    return load_ir(json.dumps(document))
+
+
+def test_valid_document_loads():
+    graph = load_ir(json.dumps(valid_document()))
+    assert str(graph.templates["A"].fields[0].declared_type) == "Map[K, Box[scala.Int]]"
+    assert str(graph.templates["A"].parents[0]) == "Box[M]"
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [pytest.param(*case[1:], id=case[0]) for case in LOADER_DIAGNOSTICS],
+)
+def test_every_loader_diagnostic_has_its_exact_path_and_message(edit, path, message):
+    with pytest.raises(IRError) as info:
+        load_corrupted(edit)
+    assert info.value.path == path
+    assert str(info.value) == (f"{path}: {message}" if path else message)
+
+
+@pytest.mark.parametrize(
+    "edit, path, message",
+    [
+        pytest.param(
+            setting(lambda d: d, "version", 1), "$", "unexpected keys ['version']", id="root"
+        ),
+        pytest.param(
+            lambda d: template(d).update(parent=template(d).pop("parents")),
+            T,
+            "unexpected keys ['parent']",
+            id="template",
+        ),
+        pytest.param(
+            setting(field, "mutable", True), F, "unexpected keys ['mutable']", id="field"
+        ),
+    ],
+)
+def test_load_rejects_unknown_keys_at_every_level(edit, path, message):
+    # A misspelt key must not be dropped: {"parent": [...]} on a template
+    # would otherwise load as a template with no parents.
+    with pytest.raises(IRError) as info:
+        load_corrupted(edit)
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
 def nested_type(depth):
     """``P[P[...[Int]]]``, ``depth`` levels deep, as a document node."""
     node = {"head": "Int"}
