@@ -10,7 +10,6 @@ from .classify import (
     AttributeKey,
     ClassificationError,
     EvidenceRecord,
-    FieldCause,
     MUTABLE_ATTRIBUTES,
     ParentCause,
     SHALLOW_ATTRIBUTES,
@@ -63,7 +62,6 @@ __all__ = [
     "CorpusParse",
     "EvidenceRecord",
     "Explanation",
-    "FieldCause",
     "FieldDecl",
     "IRError",
     "KindSummaryTable",

@@ -10,13 +10,13 @@ explainable; a template's attribute letters are derived from its records.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Mapping
 
 from .ir import (
     INFERRED_HEAD,
+    FieldDecl,
     TemplateDef,
     TemplateGraph,
     TypeRef,
@@ -38,7 +38,6 @@ __all__ = [
     "AttributeKey",
     "ClassificationError",
     "EvidenceRecord",
-    "FieldCause",
     "FieldTypeKind",
     "FieldTypeVerdict",
     "MUTABLE_ATTRIBUTES",
@@ -104,19 +103,11 @@ class ParentCause:
 
 
 @dataclass(frozen=True)
-class FieldCause:
-    """Evidence location in the field list."""
-
-    field: str
-    declared_type: TypeRef
-
-
-@dataclass(frozen=True)
 class EvidenceRecord:
     """One attribute together with the parent or field that caused it."""
 
     attribute: AttributeKey
-    cause: ParentCause | FieldCause
+    cause: ParentCause | FieldDecl
 
 
 class FieldTypeKind(IntEnum):
@@ -255,38 +246,34 @@ def transfer(
 
     Starting from deep immutable, applies in order: declared reassignable
     fields, parents, declared non-reassignable fields.  Objects, case
-    objects and anonymous classes cannot defer to their instantiation
-    site, so any abstract outcome is demoted to unknown for them.
-    Inherited reassignable fields are not re-attributed here; a mutable
-    parent already lowers the child through the parent rule.
+    objects and anonymous classes declare no abstract types, so no outcome
+    in their scope is abstract.  Inherited reassignable fields are not
+    re-attributed here; a mutable parent already lowers the child through
+    the parent rule.
 
     Raises ClassificationError when a parent head names a type parameter
     or abstract type member of the template itself.
     """
     verdict = Verdict.DEEP_IMMUTABLE
     evidence: list[EvidenceRecord] = []
-    collapse_abstract = template.kind in UNPARAMETERIZED_KINDS
 
     def lower(
-        v: Verdict, attr: AttributeKey, cause: ParentCause | FieldCause
+        v: Verdict, attr: AttributeKey, cause: ParentCause | FieldDecl
     ) -> None:
         nonlocal verdict
         verdict = meet(verdict, v)
         evidence.append(EvidenceRecord(attr, cause))
 
     def apply_outcome(
-        outcome: FieldTypeVerdict, cause: ParentCause | FieldCause
+        outcome: FieldTypeVerdict, cause: ParentCause | FieldDecl
     ) -> None:
         # Callers skip _DEEP, the one deep outcome evaluation returns.
         nonlocal verdict
-        kind = outcome.kind
-        if kind is FieldTypeKind.ABSTRACT:
-            if not collapse_abstract:
-                verdict = meet(verdict, Verdict.CONDITIONALLY_DEEP)
-                return
-            kind = FieldTypeKind.UNKNOWN
-        attr = _OUTCOME_ATTRIBUTES[kind, outcome.assumed]
-        lower(Verdict.SHALLOW_IMMUTABLE, attr, cause)
+        if outcome.kind is FieldTypeKind.ABSTRACT:
+            verdict = meet(verdict, Verdict.CONDITIONALLY_DEEP)
+        else:
+            attr = _OUTCOME_ATTRIBUTES[outcome.kind, outcome.assumed]
+            lower(Verdict.SHALLOW_IMMUTABLE, attr, cause)
 
     for f in template.fields:
         if f.reassignable:
@@ -295,7 +282,7 @@ def transfer(
                 if f.visibility is Visibility.PRIVATE
                 else AttributeKey.PUBLIC_VAR
             )
-            lower(Verdict.MUTABLE, attr, FieldCause(f.name, f.declared_type))
+            lower(Verdict.MUTABLE, attr, f)
 
     for parent in template.parents:
         outcome = _evaluate_head(parent, template, assignment, graph, assumptions)
@@ -324,7 +311,7 @@ def transfer(
                 f.declared_type, template, assignment, graph, assumptions
             )
             if outcome is not _DEEP:
-                apply_outcome(outcome, FieldCause(f.name, f.declared_type))
+                apply_outcome(outcome, f)
 
     return TransferResult(verdict, tuple(evidence))
 
@@ -389,17 +376,10 @@ def package_result(graph: TemplateGraph, fix: FixpointResult) -> AnalysisResult:
 
 
 def classify_corpus(
-    graph: TemplateGraph,
-    assumptions: Mapping[str, Verdict] | None = None,
-    *,
-    rng: random.Random | None = None,
+    graph: TemplateGraph, assumptions: Mapping[str, Verdict] | None = None
 ) -> AnalysisResult:
-    """Run the fixpoint engine over a graph and package the result.
-
-    ``rng`` perturbs worklist order and exists for order-independence
-    testing; it never changes the result.
-    """
-    fix = run_fixpoint(graph, make_transfer(assumptions), rng=rng)
+    """Run the fixpoint engine over a graph and package the result."""
+    fix = run_fixpoint(graph, make_transfer(assumptions))
     return package_result(graph, fix)
 
 

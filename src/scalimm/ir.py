@@ -122,7 +122,7 @@ class TemplateDef:
 
     * objects, case objects and anonymous classes carry no type parameters
       and no abstract type members;
-    * type_params and abstract_type_members are disjoint;
+    * type parameters are unique and disjoint from abstract_type_members;
     * anonymous classes have exactly one parent;
     * field names are unique within the template.
     """
@@ -142,6 +142,11 @@ class TemplateDef:
                 f"{self.kind.value} template {self.name!r} cannot have type "
                 "parameters or abstract type members"
             )
+        for i, param in enumerate(self.type_params):
+            if param in self.type_params[:i]:
+                raise ValueError(
+                    f"template {self.name!r}: duplicate type parameter {param!r}"
+                )
         overlap = set(self.type_params) & self.abstract_type_members
         if overlap:
             raise ValueError(
@@ -302,6 +307,8 @@ def _field_from_json(node: object) -> FieldDecl:
             raise _Invalid(f"missing key {key!r}")
         if not isinstance(node[key], typ):
             raise _Invalid(f"{key} must be {typ.__name__}", f".{key}")
+    if not node["name"]:
+        raise _Invalid("name must be a non-empty string", ".name")
     if "type" not in node:
         raise _Invalid("missing key 'type'")
     visibility = Visibility.PRIVATE if node["private"] else Visibility.PUBLIC
@@ -328,6 +335,9 @@ def _template_from_json(node: object) -> TemplateDef:
     at_node = node.get("abstract_types", [])
     if not isinstance(at_node, list) or not all(isinstance(a, str) for a in at_node):
         raise _Invalid("abstract_types must be a list of strings", ".abstract_types")
+    for i, member in enumerate(at_node):
+        if member in at_node[:i]:
+            raise _Invalid(f"duplicate abstract type {member!r}", ".abstract_types")
     parents_node = node.get("parents", [])
     if not isinstance(parents_node, list):
         raise _Invalid("parents must be a list", ".parents")
@@ -348,8 +358,9 @@ def load_ir(document: bytes | str) -> TemplateGraph:
     Raises IRError with a path into the document for malformed nodes, keys
     a node does not define (a misspelt key is never silently dropped),
     types nested deeper than MAX_TYPE_DEPTH, duplicate template names,
-    unknown kind strings and kind-invariant violations.  Externals are
-    recomputed, never trusted from the input.
+    repeated abstract types (the frozenset would drop the repeat, and the
+    round trip with it), unknown kind strings and template invariant
+    violations.  Externals are recomputed, never trusted from the input.
     """
     if isinstance(document, bytes):
         try:

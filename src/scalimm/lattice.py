@@ -10,7 +10,6 @@ template's verdict can strictly drop at most three times.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -97,20 +96,14 @@ class FixpointResult:
     recomputations: int
 
 
-def run_fixpoint(
-    graph: TemplateGraph,
-    transfer: TransferFn,
-    *,
-    rng: random.Random | None = None,
-) -> FixpointResult:
+def run_fixpoint(graph: TemplateGraph, transfer: TransferFn) -> FixpointResult:
     """Run the worklist algorithm to the greatest fixpoint of ``transfer``.
 
-    Every template is seeded on the worklist.  When a template's verdict
-    drops, the templates whose transfer can read it are re-queued.  By
-    default items leave the list first-in first-out; passing ``rng`` picks
-    the next item uniformly at random instead, which perturbs evaluation
-    order without affecting the result and is how order-independence gets
-    exercised.
+    Every template is seeded on the worklist in graph order.  When a
+    template's verdict drops, the templates whose transfer can read it are
+    re-queued.  Items leave the list first-in first-out, so the graph's
+    template order fixes the evaluation order.  Verdicts and evidence do
+    not depend on it; ``recomputations`` and ``history`` may.
 
     ``transfer`` receives the engine's one live assignment, which is
     updated in place whenever a verdict drops, so each step costs only the
@@ -141,12 +134,7 @@ def run_fixpoint(
     recomputations = 0
 
     while worklist:
-        if rng is None:
-            name = worklist.popleft()
-        else:
-            index = rng.randrange(len(worklist))
-            worklist[index], worklist[-1] = worklist[-1], worklist[index]
-            name = worklist.pop()
+        name = worklist.popleft()
         queued.discard(name)
 
         verdict = transfer(graph, name, verdicts).verdict

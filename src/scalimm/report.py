@@ -12,14 +12,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .classify import (
-    AnalysisResult,
-    AttributeKey,
-    EvidenceRecord,
-    FieldCause,
-    ParentCause,
-)
-from .ir import INFERRED_HEAD, TemplateGraph, TemplateKind
+from .classify import AnalysisResult, AttributeKey, EvidenceRecord
+from .ir import INFERRED_HEAD, FieldDecl, TemplateGraph, TemplateKind
 from .lattice import VERDICT_TOKENS, Verdict
 
 __all__ = [
@@ -343,59 +337,56 @@ class Explanation:
     causes: tuple[tuple[AttributeKey, str], ...]
 
 
+#: The state word a cause line gives for its letter, and a note that ends
+#: the line.  Field-type letters describe field types and parent type
+#: arguments; parent letters describe parents.
+_FIELD_TYPE_STATES: dict[AttributeKey, tuple[str, str]] = {
+    AttributeKey.FIELD_TYPE_UNKNOWN: ("unknown", ""),
+    AttributeKey.FIELD_TYPE_MUTABLE: ("mutable", ""),
+    AttributeKey.FIELD_TYPE_ASSUMED_MUTABLE: ("mutable", " (assumption)"),
+    AttributeKey.FIELD_TYPE_SHALLOW: ("shallow immutable", ""),
+}
+_PARENT_STATES: dict[AttributeKey, tuple[str, str]] = {
+    AttributeKey.PARENT_UNKNOWN: ("unknown", ""),
+    AttributeKey.PARENT_MUTABLE: ("mutable", ""),
+    AttributeKey.PARENT_ASSUMED_MUTABLE: ("mutable", " (assumption)"),
+    AttributeKey.PARENT_SHALLOW: ("shallow immutable", ""),
+}
+
+
 def _describe_cause(record: EvidenceRecord) -> str:
+    """One cause line.  A letter that its kind of cause never records
+    raises AssertionError."""
     attr = record.attribute
     cause = record.cause
-    if isinstance(cause, FieldCause):
-        declared = str(cause.declared_type)
+    if isinstance(cause, FieldDecl):
+        name = cause.name
         if attr is AttributeKey.PUBLIC_VAR:
-            return f"reassignable field '{cause.field}' is public"
+            return f"reassignable field '{name}' is public"
         if attr is AttributeKey.PRIVATE_VAR:
-            return f"reassignable field '{cause.field}' is private"
-        if attr is AttributeKey.FIELD_TYPE_UNKNOWN:
-            if cause.declared_type.head == INFERRED_HEAD:
-                return f"field '{cause.field}' has no declared type"
-            return f"field '{cause.field}' has unknown type '{declared}'"
-        if attr is AttributeKey.FIELD_TYPE_MUTABLE:
-            return f"field '{cause.field}' has mutable type '{declared}'"
-        if attr is AttributeKey.FIELD_TYPE_ASSUMED_MUTABLE:
-            return (
-                f"field '{cause.field}' has mutable type '{declared}' "
-                "(assumption)"
-            )
-        if attr is AttributeKey.FIELD_TYPE_SHALLOW:
-            return f"field '{cause.field}' has shallow immutable type '{declared}'"
-        raise AssertionError(f"field cause with attribute {attr}")
-
-    parent = str(cause.parent)
-    if attr is AttributeKey.PARENT_ASSUMED_MUTABLE:
-        return f"parent '{parent}' is mutable (assumption)"
-    if attr is AttributeKey.PARENT_MUTABLE:
-        return f"parent '{parent}' is mutable"
-    if attr is AttributeKey.PARENT_UNKNOWN:
-        return f"parent '{parent}' is unknown"
-    if attr is AttributeKey.PARENT_SHALLOW:
-        return f"parent '{parent}' is shallow immutable"
-    if cause.argument is None:
-        if attr is AttributeKey.FIELD_TYPE_UNKNOWN:
-            return f"parent '{parent}' has unknown type arguments"
-        raise AssertionError(f"argument-free parent cause with attribute {attr}")
-    argument = str(cause.argument)
+            return f"reassignable field '{name}' is private"
+        declared = cause.declared_type
+        if attr is AttributeKey.FIELD_TYPE_UNKNOWN and declared.head == INFERRED_HEAD:
+            return f"field '{name}' has no declared type"
+        state, note = _state_words(_FIELD_TYPE_STATES, record)
+        return f"field '{name}' has {state} type '{declared}'{note}"
+    parent = cause.parent
+    if cause.argument is not None:
+        state, note = _state_words(_FIELD_TYPE_STATES, record)
+        return f"type argument '{cause.argument}' of parent '{parent}' is {state}{note}"
     if attr is AttributeKey.FIELD_TYPE_UNKNOWN:
-        return f"type argument '{argument}' of parent '{parent}' is unknown"
-    if attr is AttributeKey.FIELD_TYPE_MUTABLE:
-        return f"type argument '{argument}' of parent '{parent}' is mutable"
-    if attr is AttributeKey.FIELD_TYPE_ASSUMED_MUTABLE:
-        return (
-            f"type argument '{argument}' of parent '{parent}' is mutable "
-            "(assumption)"
-        )
-    if attr is AttributeKey.FIELD_TYPE_SHALLOW:
-        return (
-            f"type argument '{argument}' of parent '{parent}' is shallow "
-            "immutable"
-        )
-    raise AssertionError(f"parent cause with attribute {attr}")
+        return f"parent '{parent}' has unknown type arguments"
+    state, note = _state_words(_PARENT_STATES, record)
+    return f"parent '{parent}' is {state}{note}"
+
+
+def _state_words(
+    table: dict[AttributeKey, tuple[str, str]], record: EvidenceRecord
+) -> tuple[str, str]:
+    # Not a KeyError: explain's callers read that as an unknown template.
+    if record.attribute not in table:
+        raise AssertionError(f"{record.cause} with attribute {record.attribute}")
+    return table[record.attribute]
 
 
 def explain(result: AnalysisResult, name: str) -> Explanation:

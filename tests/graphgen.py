@@ -174,6 +174,14 @@ def make_graph(
     return build_graph(templates), assumptions
 
 
+def permuted(graph: TemplateGraph, rng: random.Random) -> TemplateGraph:
+    """The same templates in a shuffled order.  The engine seeds its
+    worklist in template order, so this reorders every pop and re-queue."""
+    templates = list(graph.templates.values())
+    rng.shuffle(templates)
+    return build_graph(templates)
+
+
 # ---- oracles --------------------------------------------------------------
 
 

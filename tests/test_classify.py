@@ -8,7 +8,6 @@ from graphgen import make_generic_graph, make_graph, monomorphize
 from scalimm.classify import (
     AttributeKey,
     ClassificationError,
-    FieldCause,
     FieldTypeKind,
     FieldTypeVerdict,
     MUTABLE_ATTRIBUTES,
@@ -85,7 +84,7 @@ def test_private_var_makes_mutable_with_d():
     result = run_one(mk("C", fields=[var("n", "scala.Int", private=True)]))
     assert result.verdict is Verdict.MUTABLE
     assert letters(result) == {A.PRIVATE_VAR}
-    assert result.evidence[0].cause == FieldCause("n", TypeRef("scala.Int"))
+    assert result.evidence[0].cause == var("n", "scala.Int", private=True)
 
 
 def test_public_var_makes_mutable_with_c():
@@ -412,7 +411,7 @@ def test_fold_keeps_the_first_of_equally_weak_arguments():
         m,
         assumptions=assumptions,
     )
-    assert [(r.attribute, r.cause.field) for r in fields.evidence] == [
+    assert [(r.attribute, r.cause.name) for r in fields.evidence] == [
         (A.FIELD_TYPE_ASSUMED_MUTABLE, "a"),
         (A.FIELD_TYPE_MUTABLE, "b"),
     ]
@@ -478,34 +477,67 @@ def test_classify_corpus_names_template_on_ill_formed_parent():
         classify_corpus(graph)
 
 
-def _declarative_deep_check(graph, result, assumptions):
-    """Independent restatement: deep means no reassignable field and every
-    parent and value field type deep, where a type is deep when its head is
-    deep, or conditionally deep with arguments that are all deep."""
+def _declarative_verdict_check(graph, result, assumptions):
+    """Independent restatement of all four verdicts at the final assignment.
 
-    def head_verdict(scope, head):
-        if head == INFERRED_HEAD:
-            return None
-        if "." not in head and (
-            head in scope.type_params or head in scope.abstract_type_members
-        ):
-            return None
+    A head reads the graph first, then the assumptions, and is unresolved
+    when neither names it.  A template is mutable when it declares a var
+    field or has a parent head that is mutable or unresolved; else shallow
+    when a parent head is shallow, or a parent whose head is conditionally
+    deep, or a value field's type, evaluates below abstract; else
+    conditionally deep when one of those evaluates abstract; else deep.
+    """
+    assumptions = assumptions or {}
+    levels = {
+        Verdict.MUTABLE: FieldTypeKind.MUTABLE,
+        Verdict.SHALLOW_IMMUTABLE: FieldTypeKind.SHALLOW,
+        Verdict.DEEP_IMMUTABLE: FieldTypeKind.DEEP,
+    }
+
+    def head_verdict(head):
         if head in graph.templates:
             return result.verdicts[head]
-        return (assumptions or {}).get(head)
+        return assumptions.get(head)
 
-    def deep(scope, ref):
-        verdict = head_verdict(scope, ref.head)
-        if verdict is Verdict.CONDITIONALLY_DEEP:
-            return bool(ref.args) and all(deep(scope, arg) for arg in ref.args)
-        return verdict is Verdict.DEEP_IMMUTABLE
+    def evaluate(scope, ref):
+        own_abstract = set(scope.type_params) | scope.abstract_type_members
+        if ref.head == INFERRED_HEAD:
+            return FieldTypeKind.UNKNOWN
+        if "." not in ref.head and ref.head in own_abstract:
+            return FieldTypeKind.ABSTRACT
+        verdict = head_verdict(ref.head)
+        if verdict is None:
+            return FieldTypeKind.UNKNOWN
+        if verdict is not Verdict.CONDITIONALLY_DEEP:
+            return levels[verdict]
+        if ref.args:
+            return min(evaluate(scope, arg) for arg in ref.args)
+        return FieldTypeKind.ABSTRACT if own_abstract else FieldTypeKind.UNKNOWN
 
     for name, template in graph.templates.items():
-        expect_deep = all(deep(template, p) for p in template.parents) and all(
-            not f.reassignable and deep(template, f.declared_type)
+        heads = [head_verdict(p.head) for p in template.parents]
+        types = [
+            evaluate(template, p)
+            for p, head in zip(template.parents, heads)
+            if head is Verdict.CONDITIONALLY_DEEP
+        ] + [
+            evaluate(template, f.declared_type)
             for f in template.fields
-        )
-        assert (result.verdicts[name] is Verdict.DEEP_IMMUTABLE) == expect_deep, name
+            if not f.reassignable
+        ]
+        if any(f.reassignable for f in template.fields) or any(
+            head is None or head is Verdict.MUTABLE for head in heads
+        ):
+            expected = Verdict.MUTABLE
+        elif Verdict.SHALLOW_IMMUTABLE in heads or any(
+            kind < FieldTypeKind.ABSTRACT for kind in types
+        ):
+            expected = Verdict.SHALLOW_IMMUTABLE
+        elif FieldTypeKind.ABSTRACT in types:
+            expected = Verdict.CONDITIONALLY_DEEP
+        else:
+            expected = Verdict.DEEP_IMMUTABLE
+        assert result.verdicts[name] is expected, name
 
 
 def test_structural_properties_on_random_graphs():
@@ -530,7 +562,7 @@ def test_structural_properties_on_random_graphs():
             else:
                 assert attrs == frozenset()
             assert {r.attribute for r in result.evidence[name]} == attrs
-        _declarative_deep_check(graph, result, assumptions)
+        _declarative_verdict_check(graph, result, assumptions)
         # A graph template's own verdict wins over an assumption for its
         # name, so dropping such assumptions changes nothing.
         unshadowed = {n: v for n, v in assumptions.items() if n not in graph.templates}

@@ -116,6 +116,55 @@ def test_missing_path_exits_one(tmp_path, capsys):
     assert "no such file or directory" in err
 
 
+#: Exit-1 paths other than parse and IR diagnostics: the files to create in
+#: an empty working directory, the arguments and the exact error stream.
+EXIT_ONE_CASES = {
+    "extends-own-parameter": (
+        {"a.scala": b"class A[T] extends T\n"},
+        ["analyze", "a.scala"],
+        "template 'A': parent T is abstract in its own scope and cannot be extended\n",
+    ),
+    "source-not-utf8": (
+        {"bad.scala": b"class A\xff\n"},
+        ["analyze", "bad.scala"],
+        "bad.scala: not valid UTF-8 (invalid start byte)\n",
+    ),
+    "ir-directory": (
+        {"docs/a.json": b"{}"},
+        ["analyze", "docs", "--ir"],
+        "docs: Is a directory\n",
+    ),
+    "assume-missing": (
+        {"a.scala": b"class A\n"},
+        ["analyze", "a.scala", "--assume", "none.txt"],
+        "none.txt: No such file or directory\n",
+    ),
+    "assume-not-utf8": (
+        {"a.scala": b"class A\n", "assume.txt": b"lib.X mutable \xff\n"},
+        ["analyze", "a.scala", "--assume", "assume.txt"],
+        "assume.txt: not valid UTF-8 (invalid start byte)\n",
+    ),
+    "out-directory-missing": (
+        {"a.scala": b"class A\n"},
+        ["analyze", "a.scala", "--out", "nodir/x"],
+        "nodir/x: No such file or directory\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "files, argv, stderr", EXIT_ONE_CASES.values(), ids=EXIT_ONE_CASES.keys()
+)
+def test_exit_one_paths_print_one_exact_line(
+    tmp_path, monkeypatch, capsys, files, argv, stderr
+):
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, argv) == (1, "", stderr)
+
+
 def test_parse_diagnostics_exit_one_with_positions(tmp_path, capsys):
     bad = tmp_path / "bad.scala"
     bad.write_text("class {\n", encoding="utf-8")

@@ -536,6 +536,8 @@ LOADER_DIAGNOSTICS = [
      "abstract_types must be a list of strings"),
     ("abstract-types-null", setting(template, "abstract_types", [None]), f"{T}.abstract_types",
      "abstract_types must be a list of strings"),
+    ("abstract-types-repeated", setting(template, "abstract_types", ["M", "N", "M"]),
+     f"{T}.abstract_types", "duplicate abstract type 'M'"),
     ("parents-object", setting(template, "parents", {}), f"{T}.parents",
      "parents must be a list"),
     ("fields-str", setting(template, "fields", "x"), f"{T}.fields", "fields must be a list"),
@@ -544,6 +546,8 @@ LOADER_DIAGNOSTICS = [
      "object template 'A' cannot have type parameters or abstract type members"),
     ("param-and-member", setting(template, "type_params", ["M"]), T,
      "template 'A': ['M'] declared both as type parameter and abstract type member"),
+    ("type-params-repeated", setting(template, "type_params", ["T", "U", "T"]), T,
+     "template 'A': duplicate type parameter 'T'"),
     ("anon-without-parent",
      lambda d: template(d).update(kind="anon_class", abstract_types=[], parents=[]), T,
      "anonymous class 'A' must have exactly one parent, got 0"),
@@ -553,6 +557,8 @@ LOADER_DIAGNOSTICS = [
     ("field-int", setting(fields, 0, 5), F, "expected an object"),
     ("field-name-missing", deleting(field, "name"), F, "missing key 'name'"),
     ("field-name-int", setting(field, "name", 1), f"{F}.name", "name must be str"),
+    ("field-name-empty", setting(field, "name", ""), f"{F}.name",
+     "name must be a non-empty string"),
     ("field-var-missing", deleting(field, "var"), F, "missing key 'var'"),
     ("field-var-str", setting(field, "var", "no"), f"{F}.var", "var must be bool"),
     ("field-var-int", setting(field, "var", 0), f"{F}.var", "var must be bool"),

@@ -16,6 +16,7 @@ from graphgen import (
     make_generic_graph,
     make_graph,
     naive_fixpoint_oracle,
+    permuted,
 )
 from scalimm.classify import AttributeKey, make_transfer
 from scalimm.ir import FieldDecl, TemplateDef, TemplateKind, TypeRef, Visibility, build_graph
@@ -201,9 +202,7 @@ def test_random_pop_order_gives_identical_results():
         transfer = make_transfer(assumptions)
         baseline = run_fixpoint(graph, transfer)
         for seed in range(4):
-            shuffled = run_fixpoint(
-                graph, transfer, rng=random.Random(seed)
-            )
+            shuffled = run_fixpoint(permuted(graph, random.Random(seed)), transfer)
             assert shuffled.verdicts == baseline.verdicts
             assert shuffled.evidence == baseline.evidence
 
@@ -247,7 +246,7 @@ def test_recomputations_stay_within_the_change_bound():
         transfer = make_transfer(assumptions)
         _assert_within_change_bound(graph, run_fixpoint(graph, transfer))
         _assert_within_change_bound(
-            graph, run_fixpoint(graph, transfer, rng=random.Random(7))
+            graph, run_fixpoint(permuted(graph, random.Random(7)), transfer)
         )
     graph = _random_class_graph(2000, seed=5)
     _assert_within_change_bound(graph, run_fixpoint(graph, make_transfer()))
@@ -264,8 +263,9 @@ def test_engine_matches_kleene_iteration_on_large_graphs():
     for graph, assumptions in cases:
         transfer = make_transfer(assumptions)
         expected = kleene_fixpoint(graph, transfer)
-        for order in (None, random.Random(0), random.Random(1), random.Random(2)):
-            result = run_fixpoint(graph, transfer, rng=order)
+        orders = [graph] + [permuted(graph, random.Random(s)) for s in range(3)]
+        for ordered in orders:
+            result = run_fixpoint(ordered, transfer)
             assert (result.verdicts, result.evidence) == expected
 
 

@@ -297,9 +297,83 @@ def test_duplicate_fields_in_source_become_a_diagnostic():
     assert any("duplicate field" in d.message for d in result.diagnostics)
 
 
+def test_repeated_type_parameter_is_reported_at_the_template_name():
+    result = parse_source("f", "class A[T, T] { val x: T }")
+    assert [str(d) for d in result.diagnostics] == [
+        "f:1:7: template 'A': duplicate type parameter 'T'"
+    ]
+    assert result.templates == []
+
+
 def test_unbalanced_body_reports_missing_brace():
     result = parse_source("open.scala", "class C { val x: Int = 1")
     assert any("expected '}'" in d.message for d in result.diagnostics)
+
+
+#: Source text, its exact diagnostics, and the templates that survive
+#: recovery with their field names: one case per grammar branch that skips
+#: a modifier, an empty or defaulted parameter list, or bad input.
+RECOVERY_CASES = {
+    "modifier": ("final class A", [], {"A": []}),
+    "empty-parameters": ("class A()", [], {"A": []}),
+    "default-argument": ("class A(val x: Int = 1)", [], {"A": ["x"]}),
+    "parameter-separator": (
+        "class A(val x: Int; val y: Int)",
+        ["f:1:19: expected ',' or ')', got ';'"],
+        {"A": ["x"]},
+    ),
+    "parameters-unclosed": (
+        "class A(val x: Int",
+        ["f:1:19: unexpected end of input, expected ')'"],
+        {"A": ["x"]},
+    ),
+    "type-argument-separator": (
+        "class A { val x: P[Int Int] }",
+        ["f:1:24: expected ',' or ']', got 'Int'"],
+        {"A": ["x"]},
+    ),
+    "type-parameters-unclosed": (
+        "class A[T",
+        ["f:1:10: unexpected end of input, expected ']'"],
+        {"A": []},
+    ),
+    "nested-template-unnamed": (
+        "class A { class }", ["f:1:17: expected identifier, got '}'"], {"A": []}
+    ),
+    "parent-not-a-type": (
+        "class A extends 1", ["f:1:17: expected a type, got '1'"], {"A": []}
+    ),
+    "new-not-a-type": (
+        "class A { val x = new 1 }", ["f:1:23: expected a type, got '1'"], {"A": ["x"]}
+    ),
+    "anonymous-type-member": (
+        "class A { val x = new B { type X } }",
+        ["f:1:19: anonymous class 'A$anon$1' cannot declare abstract type members"],
+        {"A": ["x"]},
+    ),
+    "anonymous-duplicate-field": (
+        "class A { val x = new B { val y: Int; val y: Int } }",
+        ["f:1:19: template 'A$anon$1': duplicate field name 'y'"],
+        {"A": ["x"]},
+    ),
+    "type-bound-not-a-type": (
+        "class A { type X <: 1 }", ["f:1:21: expected a type, got '1'"], {"A": []}
+    ),
+    "type-alias": (
+        "class A { type X = Int }",
+        ["f:1:18: type aliases are not supported; 'type X' must stay abstract"],
+        {"A": []},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, diagnostics, templates", RECOVERY_CASES.values(), ids=RECOVERY_CASES.keys()
+)
+def test_recovery_branches(text, diagnostics, templates):
+    result = parse_source("f", text)
+    assert [str(d) for d in result.diagnostics] == diagnostics
+    assert {t.name: [f.name for f in t.fields] for t in result.templates} == templates
 
 
 # ---- lexical diagnostics ---------------------------------------------------

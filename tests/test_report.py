@@ -6,11 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from scalimm.classify import classify_corpus, parse_assumptions
-from scalimm.ir import TemplateKind
+from scalimm.classify import (
+    AttributeKey,
+    EvidenceRecord,
+    ParentCause,
+    classify_corpus,
+    parse_assumptions,
+)
+from scalimm.ir import FieldDecl, TemplateKind, TypeRef, Visibility
 from scalimm.lattice import Verdict
 from scalimm.parser import parse_corpus
 from scalimm.report import (
+    _describe_cause,
     attribute_combinations,
     build_report,
     explain,
@@ -316,6 +323,28 @@ def test_explain_cause_lines_missing_from_the_golden_corpus(name, expected):
         corpus.graph, parse_assumptions("lib.Buf mutable\n")
     )
     assert render_explanation(explain(result, name)) == expected
+
+
+@pytest.mark.parametrize(
+    "attribute, cause",
+    [
+        (
+            AttributeKey.PARENT_MUTABLE,
+            FieldDecl("x", False, Visibility.PUBLIC, TypeRef("M")),
+        ),
+        (AttributeKey.PUBLIC_VAR, ParentCause(TypeRef("P"))),
+        (AttributeKey.FIELD_TYPE_MUTABLE, ParentCause(TypeRef("P"))),
+        (
+            AttributeKey.PARENT_SHALLOW,
+            ParentCause(TypeRef("P", (TypeRef("S"),)), TypeRef("S")),
+        ),
+    ],
+    ids=["parent-letter-on-field", "var-letter-on-parent", "type-letter-on-bare-parent",
+         "parent-letter-on-argument"],
+)
+def test_cause_line_rejects_a_letter_its_cause_never_records(attribute, cause):
+    with pytest.raises(AssertionError):
+        _describe_cause(EvidenceRecord(attribute, cause))
 
 
 def test_explain_every_golden_template_matches_committed_file():
