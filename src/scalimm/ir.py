@@ -306,7 +306,8 @@ def _field_from_json(node: object) -> FieldDecl:
         if key not in node:
             raise _Invalid(f"missing key {key!r}")
         if not isinstance(node[key], typ):
-            raise _Invalid(f"{key} must be {typ.__name__}", f".{key}")
+            what = "a non-empty string" if typ is str else typ.__name__
+            raise _Invalid(f"{key} must be {what}", f".{key}")
     if not node["name"]:
         raise _Invalid("name must be a non-empty string", ".name")
     if "type" not in node:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Generator, Iterable
 
 from .ir import (
     FieldDecl,
@@ -81,52 +81,21 @@ class CorpusParse:
 
 # ---- lexer ----------------------------------------------------------------
 
-_KEYWORDS = frozenset(
-    {
-        "case",
-        "class",
-        "trait",
-        "object",
-        "extends",
-        "with",
-        "val",
-        "var",
-        "def",
-        "type",
-        "private",
-        "protected",
-        "lazy",
-        "new",
-        "final",
-        "sealed",
-        "abstract",
-        "implicit",
-        "override",
-    }
-)
+#: Keywords that begin a template definition.
+_TEMPLATE_START = frozenset({"case", "class", "trait", "object"})
 
 #: Modifier keywords that carry no meaning for the analysis and are
 #: consumed silently wherever a member or template may start.
-_SOFT_MODIFIERS = frozenset(
-    {"lazy", "final", "sealed", "abstract", "implicit", "override"}
-)
+_SOFT_MODIFIERS = frozenset({"lazy", "final", "sealed", "abstract", "implicit", "override"})
 
 #: Keywords that can begin a member; expression skipping stops at these.
-_MEMBER_START = frozenset(
-    {
-        "val",
-        "var",
-        "def",
-        "type",
-        "private",
-        "protected",
-        "case",
-        "class",
-        "trait",
-        "object",
-    }
-    | _SOFT_MODIFIERS
-)
+_MEMBER_START = _TEMPLATE_START | _SOFT_MODIFIERS | {
+    "val", "var", "def", "type", "private", "protected"
+}
+_KEYWORDS = _MEMBER_START | {"extends", "with", "new"}
+
+#: Where top-level recovery stops.
+_DEFINITION_START = _TEMPLATE_START | _SOFT_MODIFIERS
 
 #: What ends a skipped tail at bracket depth 0: an opaque member tail
 #: (the semicolon is consumed too) and a parameter's type or default.
@@ -134,6 +103,7 @@ _MEMBER_TAIL_STOPS = _MEMBER_START | {";"}
 _PARAM_TAIL_STOPS = frozenset({","})
 
 _OPENER = {")": "(", "]": "[", "}": "{"}
+_CLOSER = {"(": ")", "[": "]", "{": "}"}
 
 #: One alternative per token class, each after a skipped run of whitespace
 #: and line comments.  ``end`` lets trailing whitespace end the scan, and
@@ -155,9 +125,21 @@ _TOKEN = re.compile(
 _COMMENT_MARK = re.compile(r"/\*|\*/")
 _LITERAL = re.compile(r"\w[\w.]*")
 
+#: What the structural skip steps over in one match: runs of plain ASCII
+#: word, whitespace and ,.; characters, whole operator runs and line comments.
+#: Each alternative starts where a token starts and runs are maximal, so a
+#: slash opens a comment here exactly where it does in ``_TOKEN``.
+_PLAIN = re.compile(
+    r"(?:[\w$ \t\r\n,.;]++"
+    r"|(?:[-!#%&*+:<=>?@\\^|~]|/(?![/*]))[-!#%&*+/:<=>?@\\^|~]*+"
+    r"|//[^\n]*+)*+",
+    re.ASCII,
+)
 
-#: ``(kind, text, offset)``, kind one of ident, kw, punct, op, lit or eof.  A
-#: plain tuple: the cyclic collector untracks it, never a NamedTuple instance.
+
+#: ``(kind, text, offset)``.  The kind of a keyword, punctuation mark or
+#: operator is its text; any other kind is ident, lit or eof.  A plain
+#: tuple: the cyclic collector untracks it, never a NamedTuple instance.
 _Token = tuple[str, str, int]
 
 
@@ -173,73 +155,118 @@ def _locator(file: str, text: str) -> Callable[[int], SourcePosition]:
     return locate
 
 
-def _lex(
-    text: str, locate: Callable[[int], SourcePosition]
-) -> tuple[list[_Token], dict[int, int], list[ParseDiagnostic]]:
-    tokens: list[_Token] = []
-    jumps: dict[int, int] = {}  # opener index -> closer index, nested groups only
-    open_groups: list[int] | None = []  # None from the first mismatched closer on
-    diagnostics: list[ParseDiagnostic] = []
+def _comment_end(text: str, start: int) -> int | None:
+    """Return the offset past the block comment opening at ``start``
+    (comments nest), or None when it is not closed."""
+    depth = 0
+    for mark in _COMMENT_MARK.finditer(text, start):
+        depth += 1 if mark.group() == "/*" else -1
+        if depth == 0:
+            return mark.end()
+    return None
 
-    def error(offset: int, message: str) -> None:
+
+def _tokens(
+    text: str, locate: Callable[[int], SourcePosition], diagnostics: list[ParseDiagnostic]
+) -> Generator[_Token, int | None, None]:
+    """Lex ``text`` one token per ``next``, adding lexical errors to
+    ``diagnostics`` as it goes; after the end of input, eof repeats.
+    ``send(offset)`` lexes on from ``offset``, where a token must start."""
+
+    def report(offset: int, message: str) -> None:
         diagnostics.append(ParseDiagnostic(locate(offset), message))
 
     pos = 0
-    while True:  # a block comment or a numeral that is not a letter restarts
+    while True:  # restart at pos after a block comment, a numeral or a send
         for m in _TOKEN.finditer(text, pos):
             kind = m.lastgroup
             start = m.start(kind)
             word = m.group(kind)
             if kind == "ident":
                 if word in _KEYWORDS:
-                    kind = "kw"
+                    kind = word
                 elif not (word[0].isalpha() or word[0] in "_$"):
                     # \w also admits numerals that are not letters.  A digit
                     # such as ² starts a literal; any other, such as Ⅻ, is
                     # an unexpected character, and so is each one after it.
                     if word[0].isdigit():
                         pos = _LITERAL.match(text, start).end()
-                        tokens.append(("lit", text[start:pos], start))
+                        sent = yield ("lit", text[start:pos], start)
+                        pos = pos if sent is None else sent
                     else:
                         pos = start
                         for c in word:
                             if c.isalpha() or c in "_$" or c.isdigit():
                                 break
-                            error(pos, f"unexpected character {c!r}")
+                            report(pos, f"unexpected character {c!r}")
                             pos += 1
                     break
-            elif kind == "punct" and open_groups is not None:
-                if word in "([{":
-                    open_groups.append(len(tokens))
-                elif word in _OPENER:
-                    if open_groups and tokens[open_groups[-1]][1] == _OPENER[word]:
-                        jumps[open_groups.pop()] = len(tokens)
-                    else:
-                        open_groups = None
+            elif kind == "punct" or kind == "op":
+                kind = word
             elif kind == "string":
                 if m.group("closed") is None and m.group("closed3") is None:
-                    error(start, "unterminated string literal")
+                    report(start, "unterminated string literal")
                 kind, word = "lit", '"..."'
             elif kind == "char":
                 kind, word = "lit", "'...'"
             elif kind == "comment":
-                depth = 0
-                for mark in _COMMENT_MARK.finditer(text, start):
-                    depth += 1 if mark.group() == "/*" else -1
-                    if depth == 0:
-                        pos = mark.end()
-                        break
-                else:
-                    error(start, "unterminated comment")
+                pos = _comment_end(text, start)
+                if pos is None:
+                    report(start, "unterminated comment")
                     pos = len(text)
                 break
             elif kind == "bad":
-                error(start, f"unexpected character {word!r}")
+                report(start, f"unexpected character {word!r}")
                 continue
             elif kind == "end":
-                tokens.append(("eof", "", start))
-                return tokens, jumps, diagnostics
-            tokens.append((kind, word, start))
+                kind, pos = "eof", start
+            sent = yield (kind, word, start)
+            if sent is not None:
+                pos = sent
+                break
+
+
+def _group_end(text: str, start: int, unclosed: set[int]) -> int | None:
+    """Return the offset past the closer of the group opening at ``start``,
+    found by one scan that builds no tokens.
+
+    Return None, and add to ``unclosed`` each opener still open where the
+    scan stopped (a scan from any of them stops there too), when lexing
+    the group could report an error or a closer does not match: at a
+    non-ASCII character outside a literal, a character ``_TOKEN`` calls
+    bad, an unterminated string or comment, or the end of input.
+    """
+    stack = [start]
+    pos = start + 1
+    plain = _PLAIN.match
+    while True:
+        pos = plain(text, pos).end()
+        c = text[pos : pos + 1]
+        if c in _CLOSER:
+            stack.append(pos)
+        elif c in _OPENER:
+            if text[stack[-1]] != _OPENER[c]:
+                break
+            stack.pop()
+            if not stack:
+                return pos + 1
+        elif c == '"' or c == "'":
+            m = _TOKEN.match(text, pos)
+            if c == '"' and m.group("closed") is None and m.group("closed3") is None:
+                break
+            pos = m.end()
+            continue
+        elif c == "/":  # _PLAIN stops at a slash only where /* starts
+            end = _comment_end(text, pos)
+            if end is None:
+                break
+            pos = end
+            continue
+        else:
+            break
+        pos += 1
+    unclosed.update(stack)
+    return None
 
 
 # ---- parser ---------------------------------------------------------------
@@ -247,9 +274,13 @@ def _lex(
 
 class _Parser:
     def __init__(self, file: str, text: str) -> None:
+        self._text = text
         self._locate = _locator(file, text)
-        self.tokens, self._jumps, self.diagnostics = _lex(text, self._locate)
-        self.pos = 0
+        self.diagnostics: list[ParseDiagnostic] = []
+        self._lexer = _tokens(text, self._locate, self.diagnostics)  # no reference to self
+        self._next = self._lexer.__next__
+        self.tok: _Token = self._next()  # the current token
+        self._unclosed: set[int] = set()  # openers _group_end gave up on
         # One slot per template in source order, None until it parses
         # (and for good if it does not); ``positions`` runs in parallel.
         self.templates: list[TemplateDef | None] = []
@@ -259,26 +290,10 @@ class _Parser:
 
     # -- token plumbing --
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
     def _advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
-            self.pos += 1
+        tok = self.tok
+        self.tok = self._next()
         return tok
-
-    def _at_kw(self, *words: str) -> bool:
-        tok = self._peek()
-        return tok[0] == "kw" and tok[1] in words
-
-    def _at_punct(self, char: str) -> bool:
-        tok = self._peek()
-        return tok[0] == "punct" and tok[1] == char
-
-    def _at_op(self, text: str) -> bool:
-        tok = self._peek()
-        return tok[0] == "op" and tok[1] == text
 
     def _position(self, tok: _Token) -> SourcePosition:
         return self._locate(tok[2])
@@ -290,7 +305,7 @@ class _Parser:
         return "end of input" if tok[0] == "eof" else repr(tok[1])
 
     def _expect_ident(self) -> _Token | None:
-        tok = self._peek()
+        tok = self.tok
         if tok[0] == "ident":
             return self._advance()
         self._error(tok, f"expected identifier, got {self._describe(tok)}")
@@ -298,56 +313,67 @@ class _Parser:
 
     # -- recovery --
 
+    def _pass_group(self) -> bool:
+        """Pass the group the current opener starts in one structural scan,
+        unless lexing it token by token could report an error.  A group
+        that closes at once, such as ``()``, is cheaper to lex."""
+        start = self.tok[2]
+        if self._text[start + 1 : start + 2] in _OPENER or start in self._unclosed:
+            return False
+        end = _group_end(self._text, start, self._unclosed)
+        if end is None:
+            return False
+        self.tok = self._lexer.send(end)
+        return True
+
     def _skip_group(self, open_char: str) -> None:
         """Consume a balanced (), [] or {} group, open token included."""
-        if self.pos in self._jumps:
-            self.pos = self._jumps[self.pos] + 1
+        if self._pass_group():
             return
-        close_char = {"(": ")", "[": "]", "{": "}"}[open_char]
+        close_char = _CLOSER[open_char]
         depth = 0
+        tok, pull = self.tok, self._next
         while True:
-            tok = self._peek()
-            if tok[0] == "eof":
+            kind = tok[0]
+            if kind == "eof":
                 self._error(tok, f"unexpected end of input, expected {close_char!r}")
                 return
-            if tok[0] == "punct":
-                if tok[1] == open_char:
-                    depth += 1
-                elif tok[1] == close_char:
-                    depth -= 1
-                    if depth == 0:
-                        self._advance()
-                        return
-            self._advance()
+            if kind == open_char:
+                depth += 1
+            elif kind == close_char:
+                depth -= 1
+                if depth == 0:
+                    self.tok = pull()
+                    return
+            tok = self.tok = pull()
 
     def _skip_until(self, stops: frozenset[str]) -> None:
         """Skip tokens up to a keyword or punctuation mark in ``stops`` at
         bracket depth 0, an unbalanced closing bracket or end of input.
 
         ( ), [ ] and { } are counted separately, so nested stops do not end
-        the skip.  A group in the jump table nests properly: one step passes it.
+        the skip.  A group the structural scan passes nests properly, so
+        counting its tokens would give the same end: one step passes it.
         """
-        tokens, jumps, pos = self.tokens, self._jumps, self.pos
         depth = {"(": 0, "[": 0, "{": 0}
+        tok, pull = self.tok, self._next
         while True:
-            kind, text, _ = tokens[pos]
+            kind = tok[0]
             if kind == "eof":
-                break
-            if kind == "kw" or kind == "punct":
-                if text in stops and not any(depth.values()):
-                    break
-                if text in depth:
-                    if pos in jumps:
-                        pos = jumps[pos] + 1
-                        continue
-                    depth[text] += 1
-                elif text in _OPENER:
-                    opener = _OPENER[text]
-                    if depth[opener] == 0:
-                        break
-                    depth[opener] -= 1
-            pos += 1
-        self.pos = pos
+                return
+            if kind in stops and not any(depth.values()):
+                return
+            if kind in depth:
+                if self._pass_group():
+                    tok = self.tok
+                    continue
+                depth[kind] += 1
+            elif kind in _OPENER:
+                opener = _OPENER[kind]
+                if depth[opener] == 0:
+                    return
+                depth[opener] -= 1
+            tok = self.tok = pull()
 
     def _skip_member_tail(self) -> None:
         """Skip an opaque expression or definition tail.
@@ -356,36 +382,27 @@ class _Parser:
         unbalanced closing bracket, or after a semicolon.
         """
         self._skip_until(_MEMBER_TAIL_STOPS)
-        if self._at_punct(";"):
+        if self.tok[0] == ";":
             self._advance()
 
     def _skip_to_template_start(self) -> None:
         """Top-level recovery: advance to the next plausible definition."""
-        while True:
-            tok = self._peek()
-            if tok[0] == "eof":
-                return
-            if tok[0] == "kw" and (
-                tok[1] in ("case", "class", "trait", "object")
-                or tok[1] in _SOFT_MODIFIERS
-            ):
-                return
+        while self.tok[0] != "eof" and self.tok[0] not in _DEFINITION_START:
             self._advance()
 
     # -- grammar --
 
     def parse_file(self) -> None:
         while True:
-            while self._at_punct(";"):
+            while self.tok[0] == ";":
                 self._advance()
-            tok = self._peek()
-            if tok[0] == "eof":
+            if self.tok[0] == "eof":
                 return
             self._consume_soft_modifiers()
-            if self._at_kw("case", "class", "trait", "object"):
+            if self.tok[0] in _TEMPLATE_START:
                 self.parse_template(None)
             else:
-                tok = self._peek()
+                tok = self.tok
                 self._error(
                     tok,
                     f"expected a class, trait or object definition, got "
@@ -395,18 +412,16 @@ class _Parser:
                 self._skip_to_template_start()
 
     def _consume_soft_modifiers(self) -> None:
-        while self._peek()[0] == "kw" and self._peek()[1] in _SOFT_MODIFIERS:
+        while self.tok[0] in _SOFT_MODIFIERS:
             self._advance()
 
     def parse_template(self, enclosing: str | None) -> None:
         is_case = False
-        if self._at_kw("case"):
+        if self.tok[0] == "case":
             case_tok = self._advance()
             is_case = True
-            if not self._at_kw("class", "object"):
-                self._error(
-                    case_tok, "'case' must be followed by 'class' or 'object'"
-                )
+            if self.tok[0] not in ("class", "object"):
+                self._error(case_tok, "'case' must be followed by 'class' or 'object'")
                 self._skip_member_tail()
                 return
         keyword = self._advance()[1]  # class | trait | object
@@ -431,46 +446,37 @@ class _Parser:
         self.positions.append(self._position(name_tok))
 
         type_params: tuple[str, ...] = ()
-        if self._at_punct("["):
+        if self.tok[0] == "[":
             if kind in (TemplateKind.OBJECT, TemplateKind.CASE_OBJECT):
-                self._error(
-                    self._peek(), f"an {keyword} cannot have type parameters"
-                )
+                self._error(self.tok, f"an {keyword} cannot have type parameters")
                 self._skip_group("[")
             else:
                 type_params = self._parse_type_params()
 
         fields: list[FieldDecl] = []
         first_list = True
-        while self._at_punct("("):
-            if kind in (
-                TemplateKind.TRAIT,
-                TemplateKind.OBJECT,
-                TemplateKind.CASE_OBJECT,
-            ):
-                self._error(
-                    self._peek(),
-                    f"a {keyword} cannot have constructor parameters",
-                )
+        while self.tok[0] == "(":
+            if kind in (TemplateKind.TRAIT, TemplateKind.OBJECT, TemplateKind.CASE_OBJECT):
+                self._error(self.tok, f"a {keyword} cannot have constructor parameters")
                 self._skip_group("(")
             else:
                 self._parse_ctor_params(kind, fields if first_list else None)
             first_list = False
 
         parents: list[TypeRef] = []
-        if self._at_kw("extends"):
+        if self.tok[0] == "extends":
             self._advance()
             parent = self._parse_parent_ref()
             if parent is not None:
                 parents.append(parent)
-            while self._at_kw("with"):
+            while self.tok[0] == "with":
                 self._advance()
                 parent = self._parse_parent_ref()
                 if parent is not None:
                     parents.append(parent)
 
         abstract_members: set[str] = set()
-        if self._at_punct("{"):
+        if self.tok[0] == "{":
             self._parse_body(name, fields, abstract_members)
 
         try:
@@ -491,14 +497,14 @@ class _Parser:
         self._advance()  # [
         names: list[str] = []
         while True:
-            tok = self._peek()
+            tok = self.tok
             if tok[0] == "eof":
                 self._error(tok, "unexpected end of input, expected ']'")
                 break
-            if self._at_punct("]"):
+            if tok[0] == "]":
                 self._advance()
                 break
-            if self._at_op("+") or self._at_op("-"):
+            if tok[0] in ("+", "-"):
                 self._advance()
             name_tok = self._expect_ident()
             if name_tok is not None:
@@ -506,7 +512,7 @@ class _Parser:
             # Bounds, context annotations and higher-kinded shapes are
             # skipped up to the next comma or the closing bracket.
             self._skip_type_arg_tail()
-            if self._at_punct(","):
+            if self.tok[0] == ",":
                 self._advance()
         return tuple(names)
 
@@ -514,72 +520,57 @@ class _Parser:
         self, kind: TemplateKind, fields: list[FieldDecl] | None
     ) -> None:
         self._advance()  # (
-        if self._at_punct(")"):
+        if self.tok[0] == ")":
             self._advance()
             return
         while True:
             visibility = self._parse_modifiers()
-            explicit_val = False
-            explicit_var = False
-            if self._at_kw("val"):
+            binder = self.tok[0] if self.tok[0] in ("val", "var") else None
+            if binder is not None:
                 self._advance()
-                explicit_val = True
-            elif self._at_kw("var"):
-                self._advance()
-                explicit_var = True
 
             name_tok = self._expect_ident()
             declared: TypeRef | None = None
             if name_tok is not None:
-                if self._at_op(":"):
+                if self.tok[0] == ":":
                     self._advance()
                     declared = self._parse_typeref()
                 else:
-                    tok = self._peek()
-                    self._error(
-                        tok, f"expected ':' after parameter name, got "
-                        f"{self._describe(tok)}"
-                    )
+                    got = self._describe(self.tok)
+                    self._error(self.tok, f"expected ':' after parameter name, got {got}")
             if declared is None:
                 self._skip_until(_PARAM_TAIL_STOPS)
-            elif self._at_op("="):
+            elif self.tok[0] == "=":
                 self._advance()
                 self._skip_until(_PARAM_TAIL_STOPS)
 
-            if fields is not None and name_tok is not None:
-                is_field = explicit_val or explicit_var
-                if kind is TemplateKind.CASE_CLASS:
-                    is_field = True
-                if is_field:
-                    fields.append(
-                        FieldDecl(
-                            name=name_tok[1],
-                            reassignable=explicit_var,
-                            visibility=visibility,
-                            declared_type=declared
-                            if declared is not None
-                            else TypeRef(INFERRED_HEAD),
-                        )
+            is_field = binder is not None or kind is TemplateKind.CASE_CLASS
+            if fields is not None and name_tok is not None and is_field:
+                fields.append(
+                    FieldDecl(
+                        name=name_tok[1],
+                        reassignable=binder == "var",
+                        visibility=visibility,
+                        declared_type=declared if declared is not None else TypeRef(INFERRED_HEAD),
                     )
+                )
 
-            if self._at_punct(","):
+            if self.tok[0] == ",":
                 self._advance()
                 continue
-            if self._at_punct(")"):
+            if self.tok[0] == ")":
                 self._advance()
                 return
-            tok = self._peek()
+            tok = self.tok
             if tok[0] == "eof":
                 self._error(tok, "unexpected end of input, expected ')'")
                 return
-            self._error(
-                tok, f"expected ',' or ')', got {self._describe(tok)}"
-            )
+            self._error(tok, f"expected ',' or ')', got {self._describe(tok)}")
             self._skip_until(_PARAM_TAIL_STOPS)
-            if self._at_punct(","):
+            if self.tok[0] == ",":
                 self._advance()
                 continue
-            if self._at_punct(")"):
+            if self.tok[0] == ")":
                 self._advance()
             return
 
@@ -588,35 +579,38 @@ class _Parser:
         give.  Qualified ``private[p]`` and ``protected`` stay public."""
         visibility = Visibility.PUBLIC
         while True:
-            if self._at_kw("private", "protected"):
+            if self.tok[0] in ("private", "protected"):
                 private = self._advance()[1] == "private"
-                if self._at_punct("["):
+                if self.tok[0] == "[":
                     self._skip_group("[")
                 elif private:
                     visibility = Visibility.PRIVATE
-            elif self._peek()[0] == "kw" and self._peek()[1] in _SOFT_MODIFIERS:
+            elif self.tok[0] in _SOFT_MODIFIERS:
                 self._advance()
             else:
                 return visibility
 
     def _parse_typeref(self, depth: int = 1) -> TypeRef | None:
-        name_tok = self._peek()
+        name_tok = self.tok
         if depth > MAX_TYPE_DEPTH:
             self._error(name_tok, f"nesting too deep: over {MAX_TYPE_DEPTH} type levels")
             return None
         if name_tok[0] != "ident":
-            self._error(
-                name_tok, f"expected a type, got {self._describe(name_tok)}"
-            )
+            self._error(name_tok, f"expected a type, got {self._describe(name_tok)}")
             return None
         self._advance()
         parts = [name_tok[1]]
-        while self._at_punct(".") and self.tokens[self.pos + 1][0] == "ident":
-            self._advance()
+        while self.tok[0] == ".":
+            mark = len(self.diagnostics)
+            dot = self._advance()
+            if self.tok[0] != "ident":  # not a qualified head: back to the dot
+                del self.diagnostics[mark:]  # lexing on reports them again
+                self.tok = self._lexer.send(dot[2])
+                break
             parts.append(self._advance()[1])
         head = ".".join(parts)
         args: list[TypeRef] = []
-        if self._at_punct("["):
+        if self.tok[0] == "[":
             self._advance()
             while True:
                 arg = self._parse_typeref(depth + 1)
@@ -624,50 +618,46 @@ class _Parser:
                     args.append(arg)
                 else:
                     self._skip_type_arg_tail()
-                if self._at_punct(","):
+                if self.tok[0] == ",":
                     self._advance()
                     continue
-                if self._at_punct("]"):
+                if self.tok[0] == "]":
                     self._advance()
                     break
-                tok = self._peek()
-                self._error(
-                    tok, f"expected ',' or ']', got {self._describe(tok)}"
-                )
+                tok = self.tok
+                self._error(tok, f"expected ',' or ']', got {self._describe(tok)}")
                 if tok[0] == "eof":
                     break
                 self._skip_type_arg_tail()
-                if self._at_punct(","):
+                if self.tok[0] == ",":
                     self._advance()
                     continue
-                if self._at_punct("]"):
+                if self.tok[0] == "]":
                     self._advance()
                 break
         return TypeRef(head, tuple(args))
 
     def _skip_type_arg_tail(self) -> None:
         depth = 0
-        while True:
-            tok = self._peek()
-            if tok[0] == "eof":
-                return
-            if tok[0] == "punct":
-                if tok[1] == "[":
-                    depth += 1
-                elif tok[1] == "]":
-                    if depth == 0:
-                        return
-                    depth -= 1
-                elif tok[1] == "," and depth == 0:
+        kind, pull = self.tok[0], self._next
+        while kind != "eof":
+            if kind == "[":
+                depth += 1
+            elif kind == "]":
+                if depth == 0:
                     return
-            self._advance()
+                depth -= 1
+            elif kind == "," and depth == 0:
+                return
+            self.tok = pull()
+            kind = self.tok[0]
 
     def _parse_parent_ref(self) -> TypeRef | None:
         ref = self._parse_typeref()
         if ref is None:
             self._skip_member_tail()
             return None
-        while self._at_punct("("):
+        while self.tok[0] == "(":
             self._skip_group("(")  # superclass constructor arguments
         return ref
 
@@ -676,37 +666,34 @@ class _Parser:
     ) -> None:
         if self._nesting == MAX_TEMPLATE_NESTING:
             limit = f"over {MAX_TEMPLATE_NESTING} template bodies"
-            self._error(self._peek(), f"nesting too deep: {limit}")
+            self._error(self.tok, f"nesting too deep: {limit}")
             self._skip_group("{")
             return
         self._nesting += 1
         self._advance()  # {
         while True:
-            while self._at_punct(";"):
+            while self.tok[0] == ";":
                 self._advance()
-            tok = self._peek()
+            tok = self.tok
             if tok[0] == "eof":
                 self._error(tok, "unexpected end of input, expected '}'")
                 break
-            if self._at_punct("}"):
+            if tok[0] == "}":
                 self._advance()
                 break
 
             visibility = self._parse_modifiers()
-            if self._at_kw("val", "var"):
+            if self.tok[0] in ("val", "var"):
                 self._parse_field_member(owner, visibility, fields)
-            elif self._at_kw("def"):
+            elif self.tok[0] == "def":
                 self._advance()
                 self._skip_member_tail()
-            elif self._at_kw("type"):
+            elif self.tok[0] == "type":
                 self._parse_type_member(abstract_members)
-            elif self._at_kw("case", "class", "trait", "object"):
+            elif self.tok[0] in _TEMPLATE_START:
                 self.parse_template(owner)
             else:
-                tok = self._peek()
-                self._error(
-                    tok, f"expected a member, got {self._describe(tok)}"
-                )
+                self._error(self.tok, f"expected a member, got {self._describe(self.tok)}")
                 self._advance()
                 self._skip_member_tail()
         self._nesting -= 1
@@ -720,15 +707,15 @@ class _Parser:
             self._skip_member_tail()
             return
         declared: TypeRef | None = None
-        if self._at_op(":"):
+        if self.tok[0] == ":":
             self._advance()
             declared = self._parse_typeref()
             if declared is None:
                 self._skip_member_tail()
         anon_type: TypeRef | None = None
-        if self._at_op("="):
+        if self.tok[0] == "=":
             self._advance()
-            if self._at_kw("new"):
+            if self.tok[0] == "new":
                 anon_type = self._parse_new_initializer(owner)
             self._skip_member_tail()
 
@@ -754,9 +741,9 @@ class _Parser:
         parent = self._parse_typeref()
         if parent is None:
             return None
-        while self._at_punct("("):
+        while self.tok[0] == "(":
             self._skip_group("(")  # constructor arguments
-        if not self._at_punct("{"):
+        if self.tok[0] != "{":
             return None
 
         count = self._anon_counters.get(owner, 0) + 1
@@ -795,20 +782,22 @@ class _Parser:
         if name_tok is None:
             self._skip_member_tail()
             return
-        while self._at_op("<:") or self._at_op(">:"):
+        while self.tok[0] in ("<:", ">:"):
             self._advance()
             if self._parse_typeref() is None:
                 self._skip_member_tail()
                 return
-        if self._at_op("="):
+        if self.tok[0] == "=":
             self._error(
-                self._peek(),
+                self.tok,
                 f"type aliases are not supported; "
                 f"'type {name_tok[1]}' must stay abstract",
             )
             self._advance()
             self._skip_member_tail()
             return
+        if name_tok[1] in abstract_members:
+            self._error(name_tok, f"duplicate abstract type {name_tok[1]!r}")
         abstract_members.add(name_tok[1])
 
 

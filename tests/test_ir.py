@@ -556,7 +556,7 @@ LOADER_DIAGNOSTICS = [
     # field
     ("field-int", setting(fields, 0, 5), F, "expected an object"),
     ("field-name-missing", deleting(field, "name"), F, "missing key 'name'"),
-    ("field-name-int", setting(field, "name", 1), f"{F}.name", "name must be str"),
+    ("field-name-int", setting(field, "name", 1), f"{F}.name", "name must be a non-empty string"),
     ("field-name-empty", setting(field, "name", ""), f"{F}.name",
      "name must be a non-empty string"),
     ("field-var-missing", deleting(field, "var"), F, "missing key 'var'"),

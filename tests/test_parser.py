@@ -1,6 +1,8 @@
 """Frontend parsing: lexing, grammar, desugaring, synthesis, recovery."""
 
 import gc
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +22,8 @@ from scalimm.parser import (
     _MEMBER_TAIL_STOPS,
     _PARAM_TAIL_STOPS,
     _Parser,
-    _lex,
-    _locator,
+    _group_end,
+    _tokens,
     parse_corpus,
     parse_source,
 )
@@ -364,6 +366,11 @@ RECOVERY_CASES = {
         ["f:1:18: type aliases are not supported; 'type X' must stay abstract"],
         {"A": []},
     ),
+    "repeated-type-member": (
+        "class A { type M; type M }",
+        ["f:1:24: duplicate abstract type 'M'"],
+        {"A": []},
+    ),
 }
 
 
@@ -501,20 +508,63 @@ def test_token_soup_never_raises_and_positions_lie_inside_the_file(text):
         )
 
 
-# ---- token storage and bracket jumps --------------------------------------
+# ---- token storage and the structural skip --------------------------------
 
 
-def test_lexed_tokens_are_untracked_by_the_cycle_collector():
-    # The collector untracks an exact tuple of strings and ints when it
-    # first examines it; an instance of a tuple subclass stays tracked.
+def _lex_all(text):
+    """Every token of ``text`` up to eof, and the offsets of the errors
+    lexing reports."""
+    tokens, errors = [], []
+    for token in _tokens(text, lambda offset: offset, errors):
+        tokens.append(token)
+        if token[0] == "eof":
+            return tokens, [error.position for error in errors]
+
+
+def _big_source():
+    """About 0.5 MB: 7,000 one-line classes, each with a method body."""
     text = "\n".join(
         f'class C{i}(val a: Int) {{ def m(x: Int): Int = {{ f(x, "s") /* {i} */ }} }}'
         for i in range(7000)
     )
     assert 400_000 < len(text.encode()) < 600_000
-    tokens = _lex(text, _locator("big.scala", text))[0]
+    return text
+
+
+def test_lexed_tokens_are_untracked_by_the_cycle_collector():
+    # The collector untracks an exact tuple of strings and ints when it
+    # first examines it; an instance of a tuple subclass stays tracked.
+    tokens = _lex_all(_big_source())[0]
+    assert {type(token) for token in tokens} == {tuple}
     gc.collect()
     assert [token for token in tokens if gc.is_tracked(token)] == []
+
+
+def test_parse_peak_memory_is_at_most_twice_what_the_result_keeps():
+    text = _big_source()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = parse_source("big.scala", text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.templates) == 7000 and result.diagnostics == []
+    assert peak - base <= 2 * (kept - base), (peak - base, kept - base)
+
+
+def test_a_finished_parse_is_freed_without_the_cycle_collector():
+    # The lexer holds no reference back to the parser, so no cycle keeps
+    # a parse's state alive until the next full collection.
+    parser = _Parser("f", 'class A { def f = { "s" }; val x: A.B = 1 }')
+    parser.parse_file()
+    gone = weakref.ref(parser)
+    gc.disable()
+    try:
+        del parser
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 _CLOSES = {")": "(", "]": "[", "}": "{"}
@@ -524,31 +574,38 @@ def _reference_skip_until(tokens, pos, stops):
     """Token-by-token skip with ( ), [ ] and { } counted separately."""
     depth = {"(": 0, "[": 0, "{": 0}
     while tokens[pos][0] != "eof":
-        kind, text, _ = tokens[pos]
-        if kind in ("kw", "punct"):
-            if text in stops and not any(depth.values()):
+        kind = tokens[pos][0]
+        if kind in stops and not any(depth.values()):
+            break
+        if kind in depth:
+            depth[kind] += 1
+        elif kind in _CLOSES:
+            if depth[_CLOSES[kind]] == 0:
                 break
-            if text in depth:
-                depth[text] += 1
-            elif text in _CLOSES:
-                if depth[_CLOSES[text]] == 0:
-                    break
-                depth[_CLOSES[text]] -= 1
+            depth[_CLOSES[kind]] -= 1
         pos += 1
     return pos
 
 
 def _reference_skip_group(tokens, pos):
     """Token-by-token skip of one group, counting its own bracket kind."""
-    opener = tokens[pos][1]
+    opener = tokens[pos][0]
     depth = 0
     while tokens[pos][0] != "eof":
-        text = tokens[pos][1]
-        depth += (text == opener) - (_CLOSES.get(text) == opener)
+        kind = tokens[pos][0]
+        depth += (kind == opener) - (_CLOSES.get(kind) == opener)
         pos += 1
         if depth == 0:
             break
     return pos
+
+
+def _parser_at(text, index):
+    """A parser whose current token is the ``index``-th of ``text``."""
+    parser = _Parser("soup.scala", text)
+    for _ in range(index):
+        parser._advance()
+    return parser
 
 
 SKIP_WORDS = ["(", ")", "[", "]", "{", "}"] * 3 + [
@@ -563,16 +620,78 @@ SKIP_WORDS = ["(", ")", "[", "]", "{", "}"] * 3 + [
 @example("{ ( ) [ ] val x".split(), 0)
 @example("val x = { ( ] ) } ; val y".split(), 3)
 def test_bracket_jumps_stop_where_token_by_token_counting_stops(words, start):
-    parser = _Parser("soup.scala", " ".join(words))
-    start %= len(parser.tokens)
+    text = " ".join(words)
+    tokens = _lex_all(text)[0]
+    start %= len(tokens)
     for stops in (_MEMBER_TAIL_STOPS, _PARAM_TAIL_STOPS):
-        parser.pos = start
+        parser = _parser_at(text, start)
         parser._skip_until(stops)
-        assert parser.pos == _reference_skip_until(parser.tokens, start, stops)
-    if parser.tokens[start][1] in ("(", "[", "{"):
-        parser.pos = start
-        parser._skip_group(parser.tokens[start][1])
-        assert parser.pos == _reference_skip_group(parser.tokens, start)
+        assert parser.tok == tokens[_reference_skip_until(tokens, start, stops)]
+    if tokens[start][0] in ("(", "[", "{"):
+        parser = _parser_at(text, start)
+        parser._skip_group(tokens[start][0])
+        assert parser.tok == tokens[_reference_skip_group(tokens, start)]
+
+
+GROUP_FRAGMENTS = [
+    "(", ")", "[", "]", "{", "}", " ", "\n", "\t", "\f", "x", "Int", "1.5", ",",
+    ";", ".", "=", '"', '"""', '"a(', "\\", "'", "'\\''", "'a", "'('", "/*",
+    "*/", "//", "+/*", "*/", "/", "²", "Ⅻ", "é", "\x00", "`",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(GROUP_FRAGMENTS), max_size=60).map("".join))
+@example("{ '(' /* } */ \"}\" ) }")
+@example("( ] ) (")
+@example("{ x +/* } */ }")
+@example("[ (²) ]")
+@example('{ "open\n}')
+@example('( """ ) """ )')
+@example("( \f )")
+@example("[ /* ] */ /* ]")
+@example("( é )")
+def test_structural_skip_ends_where_counting_ends_or_declines(text):
+    tokens, errors = _lex_all(text)
+    for i, (kind, _, offset) in enumerate(tokens):
+        if kind not in ("(", "[", "{"):
+            continue
+        unclosed = set()
+        end = _group_end(text, offset, unclosed)
+        if end is None:
+            # Every opener left open where the scan stopped declines too.
+            assert offset in unclosed
+            assert all(_group_end(text, o, set()) is None for o in unclosed)
+            continue
+        assert unclosed == set()
+        j = _reference_skip_group(tokens, i)
+        assert tokens[j - 1][2] + 1 == end
+        # Counted per kind the group is one step: every depth returns to
+        # 0 at its closer and none goes below 0 on the way.
+        depth = {"(": 0, "[": 0, "{": 0}
+        for token in tokens[i:j]:
+            if token[0] in depth:
+                depth[token[0]] += 1
+            elif token[0] in _CLOSES:
+                depth[_CLOSES[token[0]]] -= 1
+                assert depth[_CLOSES[token[0]]] >= 0
+        assert not any(depth.values())
+        assert [e for e in errors if offset <= e < end] == []
+
+
+def test_a_declined_opener_is_never_scanned_again(monkeypatch):
+    # Every ( below is open at the end of input, so the first scan declines
+    # for all of them; scanning again at each would make the parse quadratic.
+    scans = []
+
+    def counting(text, start, unclosed):
+        scans.append(start)
+        return _group_end(text, start, unclosed)
+
+    monkeypatch.setattr("scalimm.parser._group_end", counting)
+    result = parse_source("f", "class A { def f = " + "(x, " * 2000)
+    assert [str(d) for d in result.diagnostics] == ["f:1:8019: unexpected end of input, expected '}'"]
+    assert len(scans) == 1
 
 
 # Well-formed building blocks for whole templates, so that a good share of
