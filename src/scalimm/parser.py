@@ -86,7 +86,9 @@ _TEMPLATE_START = frozenset({"case", "class", "trait", "object"})
 
 #: Modifier keywords that carry no meaning for the analysis and are
 #: consumed silently wherever a member or template may start.
-_SOFT_MODIFIERS = frozenset({"lazy", "final", "sealed", "abstract", "implicit", "override"})
+_SOFT_MODIFIERS = frozenset(
+    {"lazy", "final", "sealed", "abstract", "implicit", "override"}
+)
 
 #: Keywords that can begin a member; expression skipping stops at these.
 _MEMBER_START = _TEMPLATE_START | _SOFT_MODIFIERS | {
@@ -128,11 +130,12 @@ _LITERAL = re.compile(r"\w[\w.]*")
 #: What the structural skip steps over in one match: runs of plain ASCII
 #: word, whitespace and ,.; characters, whole operator runs and line comments.
 #: Each alternative starts where a token starts and runs are maximal, so a
-#: slash opens a comment here exactly where it does in ``_TOKEN``.
+#: slash opens a comment here exactly where it does in ``_TOKEN``.  It can
+#: match empty and nothing follows it, so greedy matching never backtracks.
 _PLAIN = re.compile(
-    r"(?:[\w$ \t\r\n,.;]++"
-    r"|(?:[-!#%&*+:<=>?@\\^|~]|/(?![/*]))[-!#%&*+/:<=>?@\\^|~]*+"
-    r"|//[^\n]*+)*+",
+    r"(?:[\w$ \t\r\n,.;]+"
+    r"|(?:[-!#%&*+:<=>?@\\^|~]|/(?![/*]))[-!#%&*+/:<=>?@\\^|~]*"
+    r"|//[^\n]*)*",
     re.ASCII,
 )
 
@@ -167,7 +170,9 @@ def _comment_end(text: str, start: int) -> int | None:
 
 
 def _tokens(
-    text: str, locate: Callable[[int], SourcePosition], diagnostics: list[ParseDiagnostic]
+    text: str,
+    locate: Callable[[int], SourcePosition],
+    diagnostics: list[ParseDiagnostic],
 ) -> Generator[_Token, int | None, None]:
     """Lex ``text`` one token per ``next``, adding lexical errors to
     ``diagnostics`` as it goes; after the end of input, eof repeats.
@@ -252,7 +257,7 @@ def _group_end(text: str, start: int, unclosed: set[int]) -> int | None:
                 return pos + 1
         elif c == '"' or c == "'":
             m = _TOKEN.match(text, pos)
-            if c == '"' and m.group("closed") is None and m.group("closed3") is None:
+            if c == '"' and not (m.group("closed") or m.group("closed3")):
                 break
             pos = m.end()
             continue
@@ -277,7 +282,8 @@ class _Parser:
         self._text = text
         self._locate = _locator(file, text)
         self.diagnostics: list[ParseDiagnostic] = []
-        self._lexer = _tokens(text, self._locate, self.diagnostics)  # no reference to self
+        # The lexer holds no reference to the parser, so no cycle forms.
+        self._lexer = _tokens(text, self._locate, self.diagnostics)
         self._next = self._lexer.__next__
         self.tok: _Token = self._next()  # the current token
         self._unclosed: set[int] = set()  # openers _group_end gave up on
@@ -317,10 +323,10 @@ class _Parser:
         """Pass the group the current opener starts in one structural scan,
         unless lexing it token by token could report an error.  A group
         that closes at once, such as ``()``, is cheaper to lex."""
-        start = self.tok[2]
-        if self._text[start + 1 : start + 2] in _OPENER or start in self._unclosed:
+        start, text = self.tok[2], self._text
+        if start in self._unclosed or text[start + 1 : start + 2] in _OPENER:
             return False
-        end = _group_end(self._text, start, self._unclosed)
+        end = _group_end(text, start, self._unclosed)
         if end is None:
             return False
         self.tok = self._lexer.send(end)
@@ -421,7 +427,9 @@ class _Parser:
             case_tok = self._advance()
             is_case = True
             if self.tok[0] not in ("class", "object"):
-                self._error(case_tok, "'case' must be followed by 'class' or 'object'")
+                self._error(
+                    case_tok, "'case' must be followed by 'class' or 'object'"
+                )
                 self._skip_member_tail()
                 return
         keyword = self._advance()[1]  # class | trait | object
@@ -433,13 +441,7 @@ class _Parser:
                 self._skip_member_tail()
             return
 
-        if keyword == "class":
-            kind = TemplateKind.CASE_CLASS if is_case else TemplateKind.CLASS
-        elif keyword == "object":
-            kind = TemplateKind.CASE_OBJECT if is_case else TemplateKind.OBJECT
-        else:
-            kind = TemplateKind.TRAIT
-
+        kind = TemplateKind(f"case_{keyword}" if is_case else keyword)
         name = f"{enclosing}.{name_tok[1]}" if enclosing else name_tok[1]
         slot = len(self.templates)
         self.templates.append(None)
@@ -447,8 +449,10 @@ class _Parser:
 
         type_params: tuple[str, ...] = ()
         if self.tok[0] == "[":
-            if kind in (TemplateKind.OBJECT, TemplateKind.CASE_OBJECT):
-                self._error(self.tok, f"an {keyword} cannot have type parameters")
+            if keyword == "object":
+                self._error(
+                    self.tok, f"an {keyword} cannot have type parameters"
+                )
                 self._skip_group("[")
             else:
                 type_params = self._parse_type_params()
@@ -456,8 +460,10 @@ class _Parser:
         fields: list[FieldDecl] = []
         first_list = True
         while self.tok[0] == "(":
-            if kind in (TemplateKind.TRAIT, TemplateKind.OBJECT, TemplateKind.CASE_OBJECT):
-                self._error(self.tok, f"a {keyword} cannot have constructor parameters")
+            if keyword != "class":
+                self._error(
+                    self.tok, f"a {keyword} cannot have constructor parameters"
+                )
                 self._skip_group("(")
             else:
                 self._parse_ctor_params(kind, fields if first_list else None)
@@ -536,8 +542,11 @@ class _Parser:
                     self._advance()
                     declared = self._parse_typeref()
                 else:
-                    got = self._describe(self.tok)
-                    self._error(self.tok, f"expected ':' after parameter name, got {got}")
+                    tok = self.tok
+                    self._error(
+                        tok, f"expected ':' after parameter name, got "
+                        f"{self._describe(tok)}"
+                    )
             if declared is None:
                 self._skip_until(_PARAM_TAIL_STOPS)
             elif self.tok[0] == "=":
@@ -551,22 +560,21 @@ class _Parser:
                         name=name_tok[1],
                         reassignable=binder == "var",
                         visibility=visibility,
-                        declared_type=declared if declared is not None else TypeRef(INFERRED_HEAD),
+                        declared_type=declared
+                        if declared is not None
+                        else TypeRef(INFERRED_HEAD),
                     )
                 )
 
-            if self.tok[0] == ",":
-                self._advance()
-                continue
-            if self.tok[0] == ")":
-                self._advance()
-                return
             tok = self.tok
-            if tok[0] == "eof":
-                self._error(tok, "unexpected end of input, expected ')'")
-                return
-            self._error(tok, f"expected ',' or ')', got {self._describe(tok)}")
-            self._skip_until(_PARAM_TAIL_STOPS)
+            if tok[0] not in (",", ")"):
+                if tok[0] == "eof":
+                    self._error(tok, "unexpected end of input, expected ')'")
+                    return
+                self._error(
+                    tok, f"expected ',' or ')', got {self._describe(tok)}"
+                )
+                self._skip_until(_PARAM_TAIL_STOPS)
             if self.tok[0] == ",":
                 self._advance()
                 continue
@@ -596,7 +604,9 @@ class _Parser:
             self._error(name_tok, f"nesting too deep: over {MAX_TYPE_DEPTH} type levels")
             return None
         if name_tok[0] != "ident":
-            self._error(name_tok, f"expected a type, got {self._describe(name_tok)}")
+            self._error(
+                name_tok, f"expected a type, got {self._describe(name_tok)}"
+            )
             return None
         self._advance()
         parts = [name_tok[1]]
@@ -618,17 +628,14 @@ class _Parser:
                     args.append(arg)
                 else:
                     self._skip_type_arg_tail()
-                if self.tok[0] == ",":
-                    self._advance()
-                    continue
-                if self.tok[0] == "]":
-                    self._advance()
-                    break
                 tok = self.tok
-                self._error(tok, f"expected ',' or ']', got {self._describe(tok)}")
-                if tok[0] == "eof":
-                    break
-                self._skip_type_arg_tail()
+                if tok[0] not in (",", "]"):
+                    self._error(
+                        tok, f"expected ',' or ']', got {self._describe(tok)}"
+                    )
+                    if tok[0] == "eof":
+                        break
+                    self._skip_type_arg_tail()
                 if self.tok[0] == ",":
                     self._advance()
                     continue
@@ -693,7 +700,10 @@ class _Parser:
             elif self.tok[0] in _TEMPLATE_START:
                 self.parse_template(owner)
             else:
-                self._error(self.tok, f"expected a member, got {self._describe(self.tok)}")
+                tok = self.tok
+                self._error(
+                    tok, f"expected a member, got {self._describe(tok)}"
+                )
                 self._advance()
                 self._skip_member_tail()
         self._nesting -= 1
