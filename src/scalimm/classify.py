@@ -29,7 +29,6 @@ from .lattice import (
     TransferFn,
     TransferResult,
     Verdict,
-    meet,
     run_fixpoint,
 )
 
@@ -261,7 +260,8 @@ def transfer(
         v: Verdict, attr: AttributeKey, cause: ParentCause | FieldDecl
     ) -> None:
         nonlocal verdict
-        verdict = meet(verdict, v)
+        if v < verdict:
+            verdict = v
         evidence.append(EvidenceRecord(attr, cause))
 
     def apply_outcome(
@@ -270,7 +270,8 @@ def transfer(
         # Callers skip _DEEP, the one deep outcome evaluation returns.
         nonlocal verdict
         if outcome.kind is FieldTypeKind.ABSTRACT:
-            verdict = meet(verdict, Verdict.CONDITIONALLY_DEEP)
+            if Verdict.CONDITIONALLY_DEEP < verdict:
+                verdict = Verdict.CONDITIONALLY_DEEP
         else:
             attr = _OUTCOME_ATTRIBUTES[outcome.kind, outcome.assumed]
             lower(Verdict.SHALLOW_IMMUTABLE, attr, cause)

@@ -159,7 +159,11 @@ def _run_analyze(args: argparse.Namespace) -> int:
             Path(args.out).write_bytes(output)
         except OSError as exc:
             return _fail(f"{args.out}: {exc.strerror or exc}")
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        # The bytes ``--out`` would write, whatever the stream's encoding.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(output)
+    else:  # a text-only stream, such as io.StringIO
         sys.stdout.write(output.decode("utf-8"))
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from enum import Enum
 
@@ -28,7 +28,6 @@ __all__ = [
     "UNPARAMETERIZED_KINDS",
     "Visibility",
     "build_graph",
-    "iter_type_refs",
     "load_ir",
     "serialize_ir",
     "template_dependencies",
@@ -194,15 +193,6 @@ class TemplateGraph:
 # ---- reference walking ----------------------------------------------------
 
 
-def iter_type_refs(template: TemplateDef) -> Iterator[TypeRef]:
-    """All top-level type references of a template: parents first, then
-    declared field types.  Arguments are not flattened; walk them yourself
-    if you need every node."""
-    yield from template.parents
-    for f in template.fields:
-        yield f.declared_type
-
-
 def template_dependencies(graph: TemplateGraph, template: TemplateDef) -> frozenset[str]:
     """Graph templates whose verdicts can influence this template's transfer:
     the set form of ``graph.dependencies[template.name]``."""
@@ -229,7 +219,8 @@ def build_graph(templates: Iterable[TemplateDef]) -> TemplateGraph:
     dependencies: dict[str, tuple[str, ...]] = {}
     for t in index.values():
         internal: dict[str, None] = {}  # insertion-ordered set
-        stack = list(iter_type_refs(t))[::-1]
+        stack = [f.declared_type for f in reversed(t.fields)]
+        stack.extend(reversed(t.parents))
         while stack:
             ref = stack.pop()
             head = ref.head

@@ -24,7 +24,6 @@ __all__ = [
     "VERDICT_BY_TOKEN",
     "VERDICT_TOKENS",
     "Verdict",
-    "meet",
     "run_fixpoint",
 ]
 
@@ -52,11 +51,6 @@ VERDICT_TOKENS: dict[Verdict, str] = {
 }
 
 VERDICT_BY_TOKEN: dict[str, Verdict] = {tok: v for v, tok in VERDICT_TOKENS.items()}
-
-
-def meet(a: Verdict, b: Verdict) -> Verdict:
-    """Greatest lower bound of two verdicts: the less immutable one."""
-    return a if a <= b else b
 
 
 class TransferResult(NamedTuple):

@@ -20,24 +20,19 @@ __all__ = [
     "ComboRow",
     "ComboTable",
     "Explanation",
-    "KIND_LABELS",
-    "KIND_ORDER",
     "KindRow",
     "KindSummaryTable",
-    "ReportTables",
-    "VERDICT_PHRASES",
     "attribute_combinations",
     "build_report",
     "explain",
     "format_count",
     "render_explanation",
     "render_report",
-    "report_to_dict",
     "summarize_by_kind",
 ]
 
 #: Fixed row order of the kind summary.
-KIND_ORDER: tuple[TemplateKind, ...] = (
+_KIND_ORDER: tuple[TemplateKind, ...] = (
     TemplateKind.CLASS,
     TemplateKind.CASE_CLASS,
     TemplateKind.ANON_CLASS,
@@ -46,7 +41,7 @@ KIND_ORDER: tuple[TemplateKind, ...] = (
     TemplateKind.CASE_OBJECT,
 )
 
-KIND_LABELS: dict[TemplateKind, str] = {
+_KIND_LABELS: dict[TemplateKind, str] = {
     TemplateKind.CLASS: "Class",
     TemplateKind.CASE_CLASS: "Case class",
     TemplateKind.ANON_CLASS: "Anon. class",
@@ -55,7 +50,7 @@ KIND_LABELS: dict[TemplateKind, str] = {
     TemplateKind.CASE_OBJECT: "Case object",
 }
 
-VERDICT_PHRASES: dict[Verdict, str] = {
+_VERDICT_PHRASES: dict[Verdict, str] = {
     Verdict.MUTABLE: "mutable",
     Verdict.SHALLOW_IMMUTABLE: "shallow immutable",
     Verdict.CONDITIONALLY_DEEP: "conditionally deep immutable",
@@ -86,7 +81,7 @@ class KindRow:
 
     @property
     def label(self) -> str:
-        return "Total" if self.kind is None else KIND_LABELS[self.kind]
+        return "Total" if self.kind is None else _KIND_LABELS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ class ComboTable:
     rows: tuple[ComboRow, ...]
 
 
-ReportTables = tuple[KindSummaryTable, ComboTable, ComboTable]
+_ReportTables = tuple[KindSummaryTable, ComboTable, ComboTable]
 
 
 def summarize_by_kind(
@@ -123,12 +118,12 @@ def summarize_by_kind(
 ) -> KindSummaryTable:
     """Count verdicts per template kind.  Percentages are a rendering
     concern and are not stored."""
-    counts: dict[TemplateKind, Counter] = {kind: Counter() for kind in KIND_ORDER}
+    counts: dict[TemplateKind, Counter] = {kind: Counter() for kind in _KIND_ORDER}
     for name, verdict in result.verdicts.items():
         counts[graph.templates[name].kind][verdict] += 1
 
     rows: list[KindRow] = []
-    for kind in KIND_ORDER:
+    for kind in _KIND_ORDER:
         c = counts[kind]
         rows.append(
             KindRow(
@@ -176,7 +171,9 @@ def attribute_combinations(
     return ComboTable(verdict, rows)
 
 
-def build_report(result: AnalysisResult, graph: TemplateGraph) -> ReportTables:
+def build_report(
+    result: AnalysisResult, graph: TemplateGraph
+) -> _ReportTables:
     """The three tables every report consists of."""
     return (
         summarize_by_kind(result, graph),
@@ -220,10 +217,10 @@ def _summary_cells(table: KindSummaryTable) -> list[tuple[str, ...]]:
     return cells
 
 def _combo_title(table: ComboTable) -> str:
-    return f"Attributes causing {VERDICT_PHRASES[table.verdict]} verdicts"
+    return f"Attributes causing {_VERDICT_PHRASES[table.verdict]} verdicts"
 
 
-def _render_text(tables: ReportTables) -> bytes:
+def _render_text(tables: _ReportTables) -> bytes:
     summary, mutable_combos, shallow_combos = tables
     lines: list[str] = ["Immutability by template kind", ""]
     lines.extend(_layout(_SUMMARY_HEADERS, _summary_cells(summary)))
@@ -238,7 +235,7 @@ def _render_text(tables: ReportTables) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _render_csv(tables: ReportTables) -> bytes:
+def _render_csv(tables: _ReportTables) -> bytes:
     summary, mutable_combos, shallow_combos = tables
     total = summary.total.occurrences
     lines = [
@@ -282,7 +279,7 @@ def _render_csv(tables: ReportTables) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def report_to_dict(tables: ReportTables) -> dict:
+def _report_to_dict(tables: _ReportTables) -> dict:
     """Counts-only mirror of the three tables, for the JSON format."""
     summary, mutable_combos, shallow_combos = tables
 
@@ -309,7 +306,7 @@ def report_to_dict(tables: ReportTables) -> dict:
     }
 
 
-def render_report(tables: ReportTables, format: str = "text") -> bytes:
+def render_report(tables: _ReportTables, format: str = "text") -> bytes:
     """Render the three tables deterministically as UTF-8 bytes."""
     if format == "text":
         return _render_text(tables)
@@ -317,7 +314,7 @@ def render_report(tables: ReportTables, format: str = "text") -> bytes:
         return _render_csv(tables)
     if format == "json":
         return (
-            json.dumps(report_to_dict(tables), indent=2, ensure_ascii=False)
+            json.dumps(_report_to_dict(tables), indent=2, ensure_ascii=False)
             + "\n"
         ).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")
@@ -413,7 +410,7 @@ def explain(result: AnalysisResult, name: str) -> Explanation:
 
 def render_explanation(explanation: Explanation) -> str:
     """One line for the verdict, one indented line per cause."""
-    phrase = VERDICT_PHRASES[explanation.verdict]
+    phrase = _VERDICT_PHRASES[explanation.verdict]
     if not explanation.causes:
         return f"{explanation.name}: {phrase}; no causes"
     lines = [f"{explanation.name}: {phrase}"]

@@ -35,9 +35,8 @@ from scalimm.ir import (
     UNPARAMETERIZED_KINDS,
     Visibility,
     build_graph,
-    iter_type_refs,
 )
-from scalimm.lattice import TransferFn, Verdict, meet
+from scalimm.lattice import TransferFn, Verdict
 
 _ASSUMED_VERDICTS = (
     Verdict.MUTABLE,
@@ -239,7 +238,7 @@ def kleene_fixpoint(
     while changed:
         previous = dict(assignment)
         for name in names:
-            assignment[name] = meet(
+            assignment[name] = min(
                 previous[name], transfer(graph, name, previous).verdict
             )
         changed = assignment != previous
@@ -284,8 +283,10 @@ def _mentioned_templates(graph: TemplateGraph, name: str) -> list[str]:
         for a in ref.args:
             walk(a)
 
-    for ref in iter_type_refs(template):
+    for ref in template.parents:
         walk(ref)
+    for f in template.fields:
+        walk(f.declared_type)
     return sorted(mentioned)
 
 

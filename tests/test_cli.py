@@ -1,7 +1,9 @@
 """Command-line driver: exit codes, formats, IR round trips, diagnostics."""
 
+import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -453,12 +455,82 @@ def test_internal_error_exits_three_without_traceback(corpus_file, capsys, monke
     assert "Traceback" not in err
 
 
-def test_command_line_does_not_load_numpy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MAIN = "from scalimm.cli import main; main()"
+
+
+def _env_with_src(**extra):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    env.update(extra)
+    return env
+
+
+def test_command_line_does_not_load_numpy():
+    env = _env_with_src()
     probe = "import sys, scalimm.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--explain", "Äpfel"], ["--format", "json"]], ids=["explain", "json"]
+)
+def test_stdout_gets_the_out_bytes_under_a_non_utf8_encoding(tmp_path, flags):
+    source = tmp_path / "a.scala"
+    source.write_text("class Äpfel { var x: Int = 0 }\n", encoding="utf-8")
+    argv = [sys.executable, "-c", MAIN, "analyze", str(source), *flags]
+    env = _env_with_src(PYTHONIOENCODING="ascii")
+    out = tmp_path / "out"
+    written = subprocess.run([*argv, "--out", str(out)], env=env, capture_output=True)
+    printed = subprocess.run(argv, env=env, capture_output=True)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert (printed.returncode, printed.stderr) == (0, b"")
+    assert printed.stdout == out.read_bytes()
+
+
+def _python_3_10():
+    """A CPython 3.10 interpreter, or None.  A version shim on PATH may
+    exist without the version it names, so each candidate is asked."""
+    candidates = [shutil.which("python3.10")]
+    candidates += sorted(
+        glob.glob(os.path.expanduser("~/.pyenv/versions/3.10.*/bin/python3"))
+    )
+    for exe in filter(None, candidates):
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout == "(3, 10)\n":
+            return exe
+    return None
+
+
+def test_golden_report_is_the_same_on_the_oldest_supported_python(tmp_path):
+    """pyproject.toml declares requires-python >= 3.10; the package must
+    load and give the same report bytes there."""
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no CPython 3.10: no python3.10 on PATH reports (3, 10) "
+                    "and no ~/.pyenv/versions/3.10.* exists")
+    argv = ["analyze", str(GOLDEN), "--assume", str(GOLDEN / "assumptions.txt")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    text = subprocess.run([exe, "-c", MAIN, *argv], env=env, capture_output=True)
+    assert (text.returncode, text.stderr) == (0, b"")
+    assert text.stdout == (GOLDEN / "expected_report.txt").read_bytes()
+
+    as_json = subprocess.run(
+        [exe, "-c", MAIN, *argv, "--format", "json"], env=env, capture_output=True
+    )
+    expected = tmp_path / "report.json"
+    assert run_cli([*argv, "--format", "json", "--out", str(expected)]) == 0
+    assert (as_json.returncode, as_json.stderr) == (0, b"")
+    assert as_json.stdout == expected.read_bytes()

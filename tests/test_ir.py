@@ -24,7 +24,6 @@ from scalimm.ir import (
     TypeRef,
     Visibility,
     build_graph,
-    iter_type_refs,
     load_ir,
     serialize_ir,
     template_dependencies,
@@ -669,7 +668,8 @@ def test_load_rejects_types_past_the_depth_limit(depth, as_parent):
         # The path names the first node past the limit.
         assert info.value.path == path + ".args[0]" * MAX_TYPE_DEPTH
         return
-    loaded = next(iter_type_refs(load_ir(doc([template])).templates["A"]))
+    a = load_ir(doc([template])).templates["A"]
+    (loaded,) = a.parents if as_parent else [f.declared_type for f in a.fields]
     levels = 1
     while loaded.args:
         (loaded,) = loaded.args

@@ -25,7 +25,6 @@ from scalimm.lattice import (
     VERDICT_BY_TOKEN,
     VERDICT_TOKENS,
     Verdict,
-    meet,
     run_fixpoint,
 )
 
@@ -55,7 +54,7 @@ def letters(result, name):
     return {record.attribute for record in result.evidence[name]}
 
 
-# ---- order and meet -------------------------------------------------------
+# ---- order and meet (min over verdicts) ----------------------------------
 
 
 def test_verdict_order_is_mutable_to_deep():
@@ -75,24 +74,25 @@ def test_verdict_tokens_are_a_bijection():
 
 @given(verdicts, verdicts)
 def test_meet_commutative(a, b):
-    assert meet(a, b) == meet(b, a)
+    assert min(a, b) is min(b, a)
 
 
 @given(verdicts, verdicts, verdicts)
 def test_meet_associative(a, b, c):
-    assert meet(a, meet(b, c)) == meet(meet(a, b), c)
+    assert min(a, min(b, c)) is min(min(a, b), c)
 
 
 @given(verdicts)
 def test_meet_idempotent_with_top_identity(a):
-    assert meet(a, a) == a
-    assert meet(a, Verdict.DEEP_IMMUTABLE) == a
-    assert meet(a, Verdict.MUTABLE) == Verdict.MUTABLE
+    assert min(a, a) is a
+    assert min(a, Verdict.DEEP_IMMUTABLE) is a
+    assert min(a, Verdict.MUTABLE) is Verdict.MUTABLE
 
 
 @given(verdicts, verdicts)
 def test_meet_is_lower_bound(a, b):
-    m = meet(a, b)
+    m = min(a, b)
+    assert isinstance(m, Verdict)
     assert m <= a and m <= b
 
 

@@ -24,7 +24,6 @@ from scalimm.report import (
     format_count,
     render_explanation,
     render_report,
-    report_to_dict,
     summarize_by_kind,
 )
 
@@ -209,12 +208,27 @@ def test_json_rendering_round_trips_to_dict():
     graph, result = sample_analysis()
     tables = build_report(result, graph)
     payload = json.loads(render_report(tables, "json").decode("utf-8"))
-    assert payload == report_to_dict(tables)
-    assert payload["summary"][-1]["kind"] == "Total"
-    assert payload["mutable_combos"] == [
-        {"attributes": "B", "occurrences": 1},
-        {"attributes": "C", "occurrences": 1},
+    keys = ("kind", "occurrences", "mutable", "shallow", "deep", "cond_deep")
+    summary = [
+        ("Class", 5, 2, 2, 1, 0),
+        ("Case class", 1, 0, 0, 0, 1),
+        ("Anon. class", 0, 0, 0, 0, 0),
+        ("Trait", 0, 0, 0, 0, 0),
+        ("Object", 1, 0, 0, 1, 0),
+        ("Case object", 0, 0, 0, 0, 0),
+        ("Total", 7, 2, 2, 2, 1),
     ]
+    assert payload == {
+        "summary": [dict(zip(keys, row)) for row in summary],
+        "mutable_combos": [
+            {"attributes": "B", "occurrences": 1},
+            {"attributes": "C", "occurrences": 1},
+        ],
+        "shallow_combos": [
+            {"attributes": "G", "occurrences": 1},
+            {"attributes": "G I", "occurrences": 1},
+        ],
+    }
 
 
 def test_unknown_format_is_rejected():
