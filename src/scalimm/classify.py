@@ -35,10 +35,8 @@ from .lattice import (
 __all__ = [
     "AnalysisResult",
     "AttributeKey",
-    "ClassificationError",
     "EvidenceRecord",
     "FieldTypeKind",
-    "FieldTypeVerdict",
     "MUTABLE_ATTRIBUTES",
     "ParentCause",
     "SHALLOW_ATTRIBUTES",
@@ -110,59 +108,59 @@ class EvidenceRecord:
 
 
 class FieldTypeKind(IntEnum):
-    """How a field's declared type evaluates, ordered by severity.
+    """How a type reference evaluates, ordered by severity.
 
-    The order is chosen so that folding a generic type's arguments with
-    ``min`` produces the same verdict a fully instantiated copy of the
-    template would get.
+    ASSUMED_MUTABLE is a mutable outcome that came from the assumption
+    list, which selects attribute I or A instead of H or B.  The order is
+    chosen so that folding a generic type's arguments to the weakest
+    produces the same verdict a fully instantiated copy of the template
+    would get; the two mutable outcomes count as equally weak.
     """
 
-    MUTABLE = 0
-    UNKNOWN = 1
-    SHALLOW = 2
-    ABSTRACT = 3
-    DEEP = 4
+    ASSUMED_MUTABLE = 0
+    MUTABLE = 1
+    UNKNOWN = 2
+    SHALLOW = 3
+    ABSTRACT = 4
+    DEEP = 5
 
 
-@dataclass(frozen=True)
-class FieldTypeVerdict:
-    """Evaluation outcome for one type reference.  ``assumed`` records
-    whether a mutable outcome came from the assumption list, which selects
-    attribute I instead of H."""
-
-    kind: FieldTypeKind
-    assumed: bool = False
-
-
-_DEEP = FieldTypeVerdict(FieldTypeKind.DEEP)
-_ABSTRACT = FieldTypeVerdict(FieldTypeKind.ABSTRACT)
-_SHALLOW = FieldTypeVerdict(FieldTypeKind.SHALLOW)
-_UNKNOWN = FieldTypeVerdict(FieldTypeKind.UNKNOWN)
-_MUTABLE = FieldTypeVerdict(FieldTypeKind.MUTABLE)
-_ASSUMED_MUTABLE = FieldTypeVerdict(FieldTypeKind.MUTABLE, assumed=True)
-
-#: The attribute a field-type outcome below abstract records, keyed by its
-#: kind and by whether it came from the assumption list.
-_OUTCOME_ATTRIBUTES = {
-    (FieldTypeKind.MUTABLE, False): AttributeKey.FIELD_TYPE_MUTABLE,
-    (FieldTypeKind.MUTABLE, True): AttributeKey.FIELD_TYPE_ASSUMED_MUTABLE,
-    (FieldTypeKind.UNKNOWN, False): AttributeKey.FIELD_TYPE_UNKNOWN,
-    (FieldTypeKind.SHALLOW, False): AttributeKey.FIELD_TYPE_SHALLOW,
+#: The outcome of a graph or assumed head by its verdict; a conditionally
+#: deep head has none, since its arguments decide.
+_GRAPH_OUTCOMES = {
+    Verdict.MUTABLE: FieldTypeKind.MUTABLE,
+    Verdict.SHALLOW_IMMUTABLE: FieldTypeKind.SHALLOW,
+    Verdict.DEEP_IMMUTABLE: FieldTypeKind.DEEP,
+}
+_ASSUMED_OUTCOMES = {
+    **_GRAPH_OUTCOMES, Verdict.MUTABLE: FieldTypeKind.ASSUMED_MUTABLE
 }
 
-#: The verdict and attribute a parent records when its head evaluates below
-#: deep and not conditionally deep, keyed like ``_OUTCOME_ATTRIBUTES``.
+#: The verdict and attribute (None: no evidence) that a field type, or a
+#: type argument of a conditionally deep parent, lowers its template to,
+#: keyed by each outcome below deep.
+_FIELD_LOWERINGS = {
+    FieldTypeKind.ASSUMED_MUTABLE:
+        (Verdict.SHALLOW_IMMUTABLE, AttributeKey.FIELD_TYPE_ASSUMED_MUTABLE),
+    FieldTypeKind.MUTABLE:
+        (Verdict.SHALLOW_IMMUTABLE, AttributeKey.FIELD_TYPE_MUTABLE),
+    FieldTypeKind.UNKNOWN:
+        (Verdict.SHALLOW_IMMUTABLE, AttributeKey.FIELD_TYPE_UNKNOWN),
+    FieldTypeKind.SHALLOW:
+        (Verdict.SHALLOW_IMMUTABLE, AttributeKey.FIELD_TYPE_SHALLOW),
+    FieldTypeKind.ABSTRACT: (Verdict.CONDITIONALLY_DEEP, None),
+}
+
+#: The same for a parent head that is not conditionally deep.  A parent
+#: head is never abstract: TemplateDef rejects one.
 _PARENT_LOWERINGS = {
-    (FieldTypeKind.MUTABLE, False): (Verdict.MUTABLE, AttributeKey.PARENT_MUTABLE),
-    (FieldTypeKind.MUTABLE, True): (Verdict.MUTABLE, AttributeKey.PARENT_ASSUMED_MUTABLE),
-    (FieldTypeKind.UNKNOWN, False): (Verdict.MUTABLE, AttributeKey.PARENT_UNKNOWN),
-    (FieldTypeKind.SHALLOW, False): (Verdict.SHALLOW_IMMUTABLE, AttributeKey.PARENT_SHALLOW),
+    FieldTypeKind.ASSUMED_MUTABLE:
+        (Verdict.MUTABLE, AttributeKey.PARENT_ASSUMED_MUTABLE),
+    FieldTypeKind.MUTABLE: (Verdict.MUTABLE, AttributeKey.PARENT_MUTABLE),
+    FieldTypeKind.UNKNOWN: (Verdict.MUTABLE, AttributeKey.PARENT_UNKNOWN),
+    FieldTypeKind.SHALLOW:
+        (Verdict.SHALLOW_IMMUTABLE, AttributeKey.PARENT_SHALLOW),
 }
-
-
-class ClassificationError(ValueError):
-    """Ill-formed input reached the classifier, e.g. a template extending
-    one of its own type parameters."""
 
 
 def _evaluate_head(
@@ -171,36 +169,26 @@ def _evaluate_head(
     assignment: Mapping[str, Verdict],
     graph: TemplateGraph,
     assumptions: Mapping[str, Verdict] | None,
-) -> FieldTypeVerdict | None:
+) -> FieldTypeKind | None:
     """Evaluate a reference head alone, or return None when it is
     conditionally deep and the arguments decide.
 
     Checks, in order: the ``$inferred`` placeholder (unknown), a head
     abstract in scope (abstract, shadowing an equally named template), a
     graph template (its current verdict), an assumed head (its configured
-    verdict, flagged as assumed when mutable), and anything else (unknown).
+    verdict, assumed mutable when mutable), and anything else (unknown).
     Matching is exact-string; there is no package-relative lookup.
     """
     head = ref.head
     if head == INFERRED_HEAD:
-        return _UNKNOWN
+        return FieldTypeKind.UNKNOWN
     if scope.declares_abstract(head):
-        return _ABSTRACT
+        return FieldTypeKind.ABSTRACT
     if head in graph.templates:
-        base = assignment[head]
-    elif assumptions is not None and head in assumptions:
-        base = assumptions[head]
-        if base is Verdict.MUTABLE:
-            return _ASSUMED_MUTABLE
-    else:
-        return _UNKNOWN
-    if base is Verdict.MUTABLE:
-        return _MUTABLE
-    if base is Verdict.SHALLOW_IMMUTABLE:
-        return _SHALLOW
-    if base is Verdict.DEEP_IMMUTABLE:
-        return _DEEP
-    return None
+        return _GRAPH_OUTCOMES.get(assignment[head])
+    if assumptions is not None and head in assumptions:
+        return _ASSUMED_OUTCOMES.get(assumptions[head])
+    return FieldTypeKind.UNKNOWN
 
 
 def evaluate_field_type(
@@ -209,12 +197,13 @@ def evaluate_field_type(
     assignment: Mapping[str, Verdict],
     graph: TemplateGraph,
     assumptions: Mapping[str, Verdict] | None = None,
-) -> FieldTypeVerdict:
+) -> FieldTypeKind:
     """Evaluate a declared type against the current verdict assignment.
 
     The head decides unless it is conditionally deep.  That is where
     substitution happens: its arguments are evaluated recursively and the
-    weakest outcome wins (the first of equally weak ones), so the generic
+    weakest outcome wins (the first of equally weak ones, so the first
+    mutable argument decides between attributes I and H), so the generic
     behaves exactly as if instantiated.  A conditionally deep head with no
     arguments supplied evaluates abstract when the scope itself has
     abstract types and unknown otherwise.
@@ -223,12 +212,14 @@ def evaluate_field_type(
     if outcome is not None:
         return outcome
     if not ref.args:
-        return _ABSTRACT if scope.has_abstract_types else _UNKNOWN
-    weakest = _DEEP
+        if scope.has_abstract_types:
+            return FieldTypeKind.ABSTRACT
+        return FieldTypeKind.UNKNOWN
+    weakest = FieldTypeKind.DEEP
     for arg in ref.args:
         outcome = evaluate_field_type(arg, scope, assignment, graph, assumptions)
-        if outcome.kind < weakest.kind:
-            if outcome.kind is FieldTypeKind.MUTABLE:
+        if outcome < weakest:
+            if outcome <= FieldTypeKind.MUTABLE:
                 return outcome  # nothing is weaker
             weakest = outcome
     return weakest
@@ -244,76 +235,58 @@ def transfer(
     lowered it, one record per cause.
 
     Starting from deep immutable, applies in order: declared reassignable
-    fields, parents, declared non-reassignable fields.  Objects, case
-    objects and anonymous classes declare no abstract types, so no outcome
-    in their scope is abstract.  Inherited reassignable fields are not
-    re-attributed here; a mutable parent already lowers the child through
-    the parent rule.
-
-    Raises ClassificationError when a parent head names a type parameter
-    or abstract type member of the template itself.
+    fields, parents, declared non-reassignable fields.  Every outcome below
+    deep lowers the verdict to the one ``_PARENT_LOWERINGS`` gives for a
+    parent head, or ``_FIELD_LOWERINGS`` for a field type or a type
+    argument of a conditionally deep parent (the bare parent itself when it
+    has none), and records the attribute the table gives, if any.  A parent
+    head is never abstract in its own scope: TemplateDef rejects that.
+    Objects, case objects and anonymous classes declare no abstract types,
+    so no outcome in their scope is abstract.  Inherited reassignable
+    fields are not re-attributed here; a mutable parent already lowers the
+    child through the parent rule.
     """
     verdict = Verdict.DEEP_IMMUTABLE
     evidence: list[EvidenceRecord] = []
-
-    def lower(
-        v: Verdict, attr: AttributeKey, cause: ParentCause | FieldDecl
-    ) -> None:
-        nonlocal verdict
-        if v < verdict:
-            verdict = v
-        evidence.append(EvidenceRecord(attr, cause))
-
-    def apply_outcome(
-        outcome: FieldTypeVerdict, cause: ParentCause | FieldDecl
-    ) -> None:
-        # Callers skip _DEEP, the one deep outcome evaluation returns.
-        nonlocal verdict
-        if outcome.kind is FieldTypeKind.ABSTRACT:
-            if Verdict.CONDITIONALLY_DEEP < verdict:
-                verdict = Verdict.CONDITIONALLY_DEEP
-        else:
-            attr = _OUTCOME_ATTRIBUTES[outcome.kind, outcome.assumed]
-            lower(Verdict.SHALLOW_IMMUTABLE, attr, cause)
-
     for f in template.fields:
         if f.reassignable:
+            verdict = Verdict.MUTABLE
             attr = (
                 AttributeKey.PRIVATE_VAR
                 if f.visibility is Visibility.PRIVATE
                 else AttributeKey.PUBLIC_VAR
             )
-            lower(Verdict.MUTABLE, attr, f)
+            evidence.append(EvidenceRecord(attr, f))
 
+    # (table, outcome, cause) for each outcome below deep, in cause order.
+    causes: list[tuple] = []
+    deep = FieldTypeKind.DEEP
     for parent in template.parents:
         outcome = _evaluate_head(parent, template, assignment, graph, assumptions)
-        if outcome is _ABSTRACT:
-            raise ClassificationError(
-                f"template {template.name!r}: parent {parent} is abstract in "
-                "its own scope and cannot be extended"
-            )
-        if outcome is None:
-            if not parent.args:
-                outcome = _ABSTRACT if template.has_abstract_types else _UNKNOWN
-                apply_outcome(outcome, ParentCause(parent))
-            for arg in parent.args:
+        if outcome is None:  # conditionally deep: each argument lowers alone
+            for arg in parent.args or (None,):  # None: the bare head itself
                 outcome = evaluate_field_type(
-                    arg, template, assignment, graph, assumptions
+                    arg or parent, template, assignment, graph, assumptions
                 )
-                if outcome is not _DEEP:
-                    apply_outcome(outcome, ParentCause(parent, arg))
-        elif outcome is not _DEEP:
-            v, attr = _PARENT_LOWERINGS[outcome.kind, outcome.assumed]
-            lower(v, attr, ParentCause(parent))
-
+                if outcome is not deep:
+                    cause = ParentCause(parent, arg)
+                    causes.append((_FIELD_LOWERINGS, outcome, cause))
+        elif outcome is not deep:
+            causes.append((_PARENT_LOWERINGS, outcome, ParentCause(parent)))
     for f in template.fields:
         if not f.reassignable:
             outcome = evaluate_field_type(
                 f.declared_type, template, assignment, graph, assumptions
             )
-            if outcome is not _DEEP:
-                apply_outcome(outcome, f)
+            if outcome is not deep:
+                causes.append((_FIELD_LOWERINGS, outcome, f))
 
+    for table, outcome, cause in causes:
+        v, attr = table[outcome]
+        if v < verdict:
+            verdict = v
+        if attr is not None:
+            evidence.append(EvidenceRecord(attr, cause))
     return TransferResult(verdict, tuple(evidence))
 
 

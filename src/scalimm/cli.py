@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .classify import ClassificationError, classify_corpus, parse_assumptions
+from .classify import classify_corpus, parse_assumptions
 from .ir import IRError, TemplateGraph, load_ir
 from .parser import parse_corpus
 from .report import build_report, explain, render_explanation, render_report
@@ -71,6 +71,17 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _read_text(path: Path) -> str | int:
+    """A source or assumption file's text, decoded as UTF-8 with a leading
+    byte-order mark dropped, or exit code 1 after one error line."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except OSError as exc:
+        return _fail(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        return _fail(f"{path}: not valid UTF-8 ({exc.reason})")
+
+
 def _load_graph(args: argparse.Namespace) -> TemplateGraph | int:
     paths = [Path(p) for p in args.paths]
     if args.ir:
@@ -102,12 +113,9 @@ def _load_graph(args: argparse.Namespace) -> TemplateGraph | int:
             files.setdefault(file.resolve(), file)
     sources: list[tuple[str, str]] = []
     for file in files.values():
-        try:
-            text = file.read_bytes().decode("utf-8")
-        except OSError as exc:
-            return _fail(f"{file}: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            return _fail(f"{file}: not valid UTF-8 ({exc.reason})")
+        text = _read_text(file)
+        if isinstance(text, int):
+            return text
         sources.append((str(file), text))
     corpus = parse_corpus(sources)
     if corpus.diagnostics:
@@ -125,21 +133,15 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
     assumptions = None
     if args.assume is not None:
-        try:
-            text = Path(args.assume).read_bytes().decode("utf-8")
-        except OSError as exc:
-            return _fail(f"{args.assume}: {exc.strerror or exc}")
-        except UnicodeDecodeError as exc:
-            return _fail(f"{args.assume}: not valid UTF-8 ({exc.reason})")
+        text = _read_text(Path(args.assume))
+        if isinstance(text, int):
+            return text
         try:
             assumptions = parse_assumptions(text)
         except ValueError as exc:
             return _fail(f"{args.assume}: {exc}")
 
-    try:
-        result = classify_corpus(graph, assumptions)
-    except ClassificationError as exc:
-        return _fail(str(exc))
+    result = classify_corpus(graph, assumptions)
 
     if args.explain is not None:
         try:

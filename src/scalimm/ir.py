@@ -123,7 +123,9 @@ class TemplateDef:
       and no abstract type members;
     * type parameters are unique and disjoint from abstract_type_members;
     * anonymous classes have exactly one parent;
-    * field names are unique within the template.
+    * field names are unique within the template;
+    * no parent head is abstract in the template's own scope, that is,
+      names one of its type parameters or abstract type members.
     """
 
     name: str
@@ -164,6 +166,12 @@ class TemplateDef:
                     f"template {self.name!r}: duplicate field name {f.name!r}"
                 )
             seen.add(f.name)
+        for parent in self.parents:
+            if self.declares_abstract(parent.head):
+                raise ValueError(
+                    f"template {self.name!r}: parent {parent} is abstract in "
+                    "its own scope and cannot be extended"
+                )
 
     @property
     def has_abstract_types(self) -> bool:

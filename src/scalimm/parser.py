@@ -516,8 +516,12 @@ class _Parser:
             if name_tok is not None:
                 names.append(name_tok[1])
             # Bounds, context annotations and higher-kinded shapes are
-            # skipped up to the next comma or the closing bracket.
-            self._skip_type_arg_tail()
+            # skipped up to the next comma or the closing bracket, nested
+            # brackets of all three kinds counted; a stray ) or } is passed.
+            self._skip_until(_PARAM_TAIL_STOPS)
+            while self.tok[0] in (")", "}"):
+                self._advance()
+                self._skip_until(_PARAM_TAIL_STOPS)
             if self.tok[0] == ",":
                 self._advance()
         return tuple(names)

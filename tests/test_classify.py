@@ -7,9 +7,7 @@ import pytest
 from graphgen import make_generic_graph, make_graph, monomorphize
 from scalimm.classify import (
     AttributeKey,
-    ClassificationError,
     FieldTypeKind,
-    FieldTypeVerdict,
     MUTABLE_ATTRIBUTES,
     ParentCause,
     SHALLOW_ATTRIBUTES,
@@ -277,13 +275,8 @@ def test_assumed_conditionally_deep_parent_folds_like_internal():
 
 
 def test_parent_resolving_abstract_in_scope_is_an_error():
-    graph = build_graph([mk("D", params=["T"], parents=["T"])])
-    with pytest.raises(ClassificationError, match="'D'"):
-        transfer(
-            graph.templates["D"],
-            {"D": Verdict.DEEP_IMMUTABLE},
-            graph,
-        )
+    with pytest.raises(ValueError, match="'D'"):
+        mk("D", params=["T"], parents=["T"])
 
 
 def test_kind_collapse_turns_abstract_outcomes_into_unknown():
@@ -347,20 +340,20 @@ def eval_in(scope_template, ref, *others, assumptions=None):
 
 def test_type_parameter_evaluates_abstract():
     scope = mk("P", params=["T"], fields=[val("v", "T")])
-    assert eval_in(scope, "T") == FieldTypeVerdict(FieldTypeKind.ABSTRACT)
+    assert eval_in(scope, "T") == FieldTypeKind.ABSTRACT
 
 
 def test_internal_mutable_evaluates_mutable_not_assumed():
     scope = mk("C")
     outcome = eval_in(scope, "X", mk("X", fields=[var("n", "scala.Int")]))
-    assert outcome == FieldTypeVerdict(FieldTypeKind.MUTABLE, assumed=False)
+    assert outcome == FieldTypeKind.MUTABLE
 
 
 def test_conditional_head_with_abstract_argument_evaluates_abstract():
     scope = mk("Q", params=["T"], fields=[val("p", TypeRef("P", (TypeRef("T"),)))])
     p = mk("P", params=["X"], fields=[val("x", "X")])
     outcome = eval_in(scope, TypeRef("P", (TypeRef("T"),)), p)
-    assert outcome == FieldTypeVerdict(FieldTypeKind.ABSTRACT)
+    assert outcome == FieldTypeKind.ABSTRACT
     graph = build_graph([scope, p])
     assert classify_corpus(graph).verdicts["Q"] is Verdict.CONDITIONALLY_DEEP
 
@@ -373,7 +366,7 @@ def test_conditional_head_with_mutable_argument_evaluates_mutable():
         mk("P", params=["X"], fields=[val("x", "X")]),
         mk("M", fields=[var("n", "scala.Int")]),
     )
-    assert outcome == FieldTypeVerdict(FieldTypeKind.MUTABLE, assumed=False)
+    assert outcome == FieldTypeKind.MUTABLE
 
 
 def test_fold_takes_weakest_argument_by_severity():
@@ -384,16 +377,16 @@ def test_fold_takes_weakest_argument_by_severity():
     # Mutable beats unknown beats shallow beats deep.
     assert eval_in(
         scope, TypeRef("P", (TypeRef("M"), TypeRef("Ext"))), p, m
-    ).kind is FieldTypeKind.MUTABLE
+    ) is FieldTypeKind.MUTABLE
     assert eval_in(
         scope, TypeRef("P", (TypeRef("Ext"), TypeRef("S"))), p, s
-    ).kind is FieldTypeKind.UNKNOWN
+    ) is FieldTypeKind.UNKNOWN
     assert eval_in(
         scope, TypeRef("P", (TypeRef("S"), TypeRef("D"))), p, s, mk("D")
-    ).kind is FieldTypeKind.SHALLOW
+    ) is FieldTypeKind.SHALLOW
     assert eval_in(
         scope, TypeRef("P", (TypeRef("D"), TypeRef("D"))), p, mk("D")
-    ).kind is FieldTypeKind.DEEP
+    ) is FieldTypeKind.DEEP
 
 
 def test_fold_keeps_the_first_of_equally_weak_arguments():
@@ -433,19 +426,20 @@ def test_non_conditional_base_ignores_arguments():
         mk("S", fields=[val("u", "Ext")]),
         mk("M", fields=[var("n", "scala.Int")]),
     )
-    assert outcome.kind is FieldTypeKind.SHALLOW
+    assert outcome is FieldTypeKind.SHALLOW
 
 
 def test_assumed_mutable_sets_assumed_flag():
     outcome = eval_in(
         mk("C"), "lib.Buf", assumptions={"lib.Buf": Verdict.MUTABLE}
     )
-    assert outcome == FieldTypeVerdict(FieldTypeKind.MUTABLE, assumed=True)
+    assert outcome == FieldTypeKind.ASSUMED_MUTABLE
 
 
 def test_severity_order_is_mutable_unknown_shallow_abstract_deep():
     assert (
-        FieldTypeKind.MUTABLE
+        FieldTypeKind.ASSUMED_MUTABLE
+        < FieldTypeKind.MUTABLE
         < FieldTypeKind.UNKNOWN
         < FieldTypeKind.SHALLOW
         < FieldTypeKind.ABSTRACT
@@ -472,9 +466,10 @@ def test_single_case_object_is_deep():
 
 
 def test_classify_corpus_names_template_on_ill_formed_parent():
-    graph = build_graph([mk("D", params=["T"], parents=["T"])])
-    with pytest.raises(ClassificationError, match="'D'"):
-        classify_corpus(graph)
+    # An abstract type member is as abstract in its own scope as a type
+    # parameter, so it cannot be extended either.
+    with pytest.raises(ValueError, match="template 'D': parent M is abstract"):
+        mk("D", members=["M"], parents=["M"])
 
 
 def _declarative_verdict_check(graph, result, assumptions):

@@ -124,7 +124,17 @@ EXIT_ONE_CASES = {
     "extends-own-parameter": (
         {"a.scala": b"class A[T] extends T\n"},
         ["analyze", "a.scala"],
-        "template 'A': parent T is abstract in its own scope and cannot be extended\n",
+        "a.scala:1:7: template 'A': parent T is abstract in its own scope "
+        "and cannot be extended\n",
+    ),
+    "ir-extends-own-parameter": (
+        {
+            "graph.json": b'{"templates": [{"name": "A", "kind": "class", '
+            b'"type_params": ["T"], "parents": [{"head": "T"}]}]}'
+        },
+        ["analyze", "graph.json", "--ir"],
+        "graph.json: templates[0]: template 'A': parent T is abstract in its "
+        "own scope and cannot be extended\n",
     ),
     "source-not-utf8": (
         {"bad.scala": b"class A\xff\n"},
@@ -196,6 +206,39 @@ def test_assumptions_flag_changes_verdicts(tmp_path, capsys):
     )
     assert code == 0
     assert out == "Keeper: deep immutable; no causes\n"
+
+
+def test_a_tuple_bound_leaves_the_field_type_unknown(tmp_path, capsys):
+    source = tmp_path / "a.scala"
+    source.write_text("class A[T <: (Int, Int)](val x: Int)\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["analyze", source, "--explain", "A"])
+    assert code == 0
+    assert out == "A: shallow immutable\n  G: field 'x' has unknown type 'Int'\n"
+
+
+def test_a_byte_order_mark_is_dropped_from_a_source(tmp_path, capsys):
+    source = tmp_path / "c.scala"
+    source.write_bytes(b"\xef\xbb\xbfclass C { var n: Int = 0 }\n")
+    code, out, err = run(capsys, ["analyze", source, "--explain", "C"])
+    assert (code, err) == (0, "")
+    assert out == "C: mutable\n  C: reassignable field 'n' is public\n"
+
+
+def test_a_byte_order_mark_is_dropped_from_an_assumption_file(
+    tmp_path, capsys
+):
+    source = tmp_path / "c.scala"
+    source.write_text("class C { val b: lib.Buf }\n", encoding="utf-8")
+    assume = tmp_path / "assume.txt"
+    assume.write_bytes(b"\xef\xbb\xbflib.Buf mutable\n")
+    code, out, err = run(
+        capsys, ["analyze", source, "--assume", assume, "--explain", "C"]
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "C: shallow immutable\n"
+        "  I: field 'b' has mutable type 'lib.Buf' (assumption)\n"
+    )
 
 
 def test_malformed_assumptions_exit_one(tmp_path, corpus_file, capsys):
@@ -534,3 +577,17 @@ def test_golden_report_is_the_same_on_the_oldest_supported_python(tmp_path):
     assert run_cli([*argv, "--format", "json", "--out", str(expected)]) == 0
     assert (as_json.returncode, as_json.stderr) == (0, b"")
     assert as_json.stdout == expected.read_bytes()
+
+
+def test_regenerate_rewrites_the_golden_artifacts_byte_for_byte(tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    done = subprocess.run(
+        [sys.executable, str(golden / "regenerate.py")],
+        cwd=tmp_path, env=_env_with_src(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("regenerated ")
+    for name in ("expected_ir.json", "expected_report.txt",
+                 "expected_explain.txt", "expected_result.json"):
+        assert (golden / name).read_bytes() == (GOLDEN / name).read_bytes(), name
