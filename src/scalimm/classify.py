@@ -10,9 +10,8 @@ explainable; a template's attribute letters are derived from its records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .ir import (
     INFERRED_HEAD,
@@ -89,8 +88,7 @@ SHALLOW_ATTRIBUTES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ParentCause:
+class ParentCause(NamedTuple):
     """Evidence location in the parent list.  ``argument`` is set when the
     cause is one type argument of the parent rather than the parent
     itself."""
@@ -99,8 +97,7 @@ class ParentCause:
     argument: TypeRef | None = None
 
 
-@dataclass(frozen=True)
-class EvidenceRecord:
+class EvidenceRecord(NamedTuple):
     """One attribute together with the parent or field that caused it."""
 
     attribute: AttributeKey
@@ -301,8 +298,7 @@ def make_transfer(assumptions: Mapping[str, Verdict] | None = None) -> TransferF
     return bound
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Classification of a whole corpus.
 
     Invariants: deep and conditionally deep templates carry no attributes;

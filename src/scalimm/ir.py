@@ -9,11 +9,8 @@ to share between any number of concurrent readers.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Callable, Iterable
-
 from enum import Enum
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "INFERRED_HEAD",
@@ -72,8 +69,7 @@ class Visibility(Enum):
     PRIVATE = "private"
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(NamedTuple):
     """A type reference: a (possibly dotted) head and optional type arguments.
 
     The head is either a qualified name or a single identifier to be
@@ -91,8 +87,7 @@ class TypeRef:
         return f"{self.head}[{', '.join(str(a) for a in self.args)}]"
 
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(NamedTuple):
     """One declared field of a template."""
 
     name: str
@@ -113,11 +108,20 @@ class IRError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-@dataclass(frozen=True)
-class TemplateDef:
+class _TemplateFields(NamedTuple):
+    name: str
+    kind: TemplateKind
+    type_params: tuple[str, ...] = ()
+    abstract_type_members: frozenset[str] = frozenset()
+    parents: tuple[TypeRef, ...] = ()
+    fields: tuple[FieldDecl, ...] = ()
+
+
+class TemplateDef(_TemplateFields):
     """One analyzed type definition.
 
-    Invariants, checked on construction:
+    Invariants, checked on every construction, ``_make`` and ``_replace``
+    included:
 
     * objects, case objects and anonymous classes carry no type parameters
       and no abstract type members;
@@ -128,14 +132,10 @@ class TemplateDef:
       names one of its type parameters or abstract type members.
     """
 
-    name: str
-    kind: TemplateKind
-    type_params: tuple[str, ...] = ()
-    abstract_type_members: frozenset[str] = frozenset()
-    parents: tuple[TypeRef, ...] = ()
-    fields: tuple[FieldDecl, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> TemplateDef:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind in UNPARAMETERIZED_KINDS and (
             self.type_params or self.abstract_type_members
         ):
@@ -172,6 +172,11 @@ class TemplateDef:
                     f"template {self.name!r}: parent {parent} is abstract in "
                     "its own scope and cannot be extended"
                 )
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> TemplateDef:
+        return cls(*iterable)
 
     @property
     def has_abstract_types(self) -> bool:
@@ -187,8 +192,7 @@ class TemplateDef:
         )
 
 
-@dataclass(frozen=True)
-class TemplateGraph:
+class TemplateGraph(NamedTuple):
     """A whole corpus: name-indexed templates, the external names they
     reference and, per template, the graph templates its references
     resolve to (first mention first).  Immutable after construction."""
@@ -361,10 +365,13 @@ def load_ir(document: bytes | str) -> TemplateGraph:
     repeated abstract types (the frozenset would drop the repeat, and the
     round trip with it), unknown kind strings and template invariant
     violations.  Externals are recomputed, never trusted from the input.
+    Bytes are decoded as UTF-8 with a leading byte-order mark dropped.
     """
+    import json  # here, so a run that reads only sources never loads it
+
     if isinstance(document, bytes):
         try:
-            document = document.decode("utf-8")
+            document = document.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise IRError(f"document is not UTF-8: {exc}") from None
     try:
@@ -411,6 +418,8 @@ def serialize_ir(graph: TemplateGraph) -> bytes:
     members are emitted sorted, and key order is fixed, so serializing a
     loaded document reproduces it byte for byte.
     """
+    import json
+
     doc = {
         "templates": [
             {

@@ -11,7 +11,6 @@ template's verdict can strictly drop at most three times.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Mapping, NamedTuple
 
@@ -70,8 +69,7 @@ class TransferResult(NamedTuple):
 TransferFn = Callable[[TemplateGraph, str, Mapping[str, "Verdict"]], TransferResult]
 
 
-@dataclass(frozen=True)
-class FixpointResult:
+class FixpointResult(NamedTuple):
     """Outcome of a fixpoint run.
 
     ``evidence`` comes from re-evaluating the transfer function once at

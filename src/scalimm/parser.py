@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator, Iterable, NamedTuple
 
 from .ir import (
     FieldDecl,
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourcePosition:
+class SourcePosition(NamedTuple):
     file: str
     line: int
     column: int
@@ -51,8 +49,7 @@ class SourcePosition:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     position: SourcePosition
     message: str
 
@@ -60,8 +57,7 @@ class ParseDiagnostic:
         return f"{self.position}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     """Everything one file parses to.  ``positions[i]`` is where
     ``templates[i]`` was defined, for duplicate-name reporting."""
 
@@ -70,8 +66,7 @@ class ParseResult:
     positions: list[SourcePosition]
 
 
-@dataclass(frozen=True)
-class CorpusParse:
+class CorpusParse(NamedTuple):
     """Merged parse of a whole corpus.  ``graph`` is None exactly when
     diagnostics were emitted."""
 
@@ -100,7 +95,8 @@ _KEYWORDS = _MEMBER_START | {"extends", "with", "new"}
 _DEFINITION_START = _TEMPLATE_START | _SOFT_MODIFIERS
 
 #: What ends a skipped tail at bracket depth 0: an opaque member tail
-#: (the semicolon is consumed too) and a parameter's type or default.
+#: (the semicolon is consumed too), and a parameter's type or default or
+#: a type argument.
 _MEMBER_TAIL_STOPS = _MEMBER_START | {";"}
 _PARAM_TAIL_STOPS = frozenset({","})
 
@@ -631,7 +627,7 @@ class _Parser:
                 if arg is not None:
                     args.append(arg)
                 else:
-                    self._skip_type_arg_tail()
+                    self._skip_until(_PARAM_TAIL_STOPS)
                 tok = self.tok
                 if tok[0] not in (",", "]"):
                     self._error(
@@ -639,7 +635,7 @@ class _Parser:
                     )
                     if tok[0] == "eof":
                         break
-                    self._skip_type_arg_tail()
+                    self._skip_until(_PARAM_TAIL_STOPS)
                 if self.tok[0] == ",":
                     self._advance()
                     continue
@@ -647,21 +643,6 @@ class _Parser:
                     self._advance()
                 break
         return TypeRef(head, tuple(args))
-
-    def _skip_type_arg_tail(self) -> None:
-        depth = 0
-        kind, pull = self.tok[0], self._next
-        while kind != "eof":
-            if kind == "[":
-                depth += 1
-            elif kind == "]":
-                if depth == 0:
-                    return
-                depth -= 1
-            elif kind == "," and depth == 0:
-                return
-            self.tok = pull()
-            kind = self.tok[0]
 
     def _parse_parent_ref(self) -> TypeRef | None:
         ref = self._parse_typeref()

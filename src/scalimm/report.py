@@ -8,9 +8,8 @@ formats so reports can be compared byte for byte.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import AnalysisResult, AttributeKey, EvidenceRecord
 from .ir import INFERRED_HEAD, FieldDecl, TemplateGraph, TemplateKind
@@ -68,8 +67,7 @@ def _pct(count: int, total: int) -> str:
     return f"{0.0 if total == 0 else count / total * 100.0:.1f}"
 
 
-@dataclass(frozen=True)
-class KindRow:
+class KindRow(NamedTuple):
     """One summary row; ``kind`` None marks the total row."""
 
     kind: TemplateKind | None
@@ -84,8 +82,7 @@ class KindRow:
         return "Total" if self.kind is None else _KIND_LABELS[self.kind]
 
 
-@dataclass(frozen=True)
-class KindSummaryTable:
+class KindSummaryTable(NamedTuple):
     """Six kind rows in fixed order plus the total row."""
 
     rows: tuple[KindRow, ...]
@@ -95,14 +92,12 @@ class KindSummaryTable:
         return self.rows[-1]
 
 
-@dataclass(frozen=True)
-class ComboRow:
+class ComboRow(NamedTuple):
     attributes: str
     occurrences: int
 
 
-@dataclass(frozen=True)
-class ComboTable:
+class ComboTable(NamedTuple):
     """Templates of one verdict grouped by their exact attribute set,
     keyed by the set rendered as sorted space-separated letters."""
 
@@ -313,6 +308,8 @@ def render_report(tables: _ReportTables, format: str = "text") -> bytes:
     if format == "csv":
         return _render_csv(tables)
     if format == "json":
+        import json  # here, so a text or csv run never loads it
+
         return (
             json.dumps(_report_to_dict(tables), indent=2, ensure_ascii=False)
             + "\n"
@@ -323,8 +320,7 @@ def render_report(tables: _ReportTables, format: str = "text") -> bytes:
 # ---- per-template explanations --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(NamedTuple):
     """One template's verdict with its attribute letters and, per
     attribute, a human-readable cause line."""
 

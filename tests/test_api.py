@@ -5,14 +5,19 @@ import contextlib
 import importlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import scalimm
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+GOLDEN = ROOT / "tests" / "golden"
 
 MODULES = [
     "scalimm",
@@ -81,3 +86,21 @@ def test_readme_library_example_prints_its_report():
 def test_package_exports_exactly_what_the_readme_example_imports():
     imported = re.search(r"^from scalimm import (.+)$", _library_example(), re.M)
     assert set(scalimm.__all__) == {n.strip() for n in imported.group(1).split(",")}
+
+
+def test_a_text_report_never_imports_dataclasses_inspect_or_json(tmp_path):
+    """Start-up cost, measured as the modules loaded rather than in
+    seconds.  ``-S`` keeps a site hook from importing any of them first."""
+    probe = (
+        "import sys, scalimm.cli; code = scalimm.cli.run_cli(sys.argv[1:]); "
+        "print(code, sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys()))"
+    )
+    argv = ["analyze", str(GOLDEN), "--assume", str(GOLDEN / "assumptions.txt"),
+            "--out", str(tmp_path / "report.txt")]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 []\n")
+    assert (tmp_path / "report.txt").read_bytes() == (GOLDEN / "expected_report.txt").read_bytes()

@@ -241,6 +241,17 @@ def test_a_byte_order_mark_is_dropped_from_an_assumption_file(
     )
 
 
+def test_a_byte_order_mark_is_dropped_from_an_ir_document(tmp_path, capsys):
+    document = tmp_path / "graph.json"
+    document.write_bytes(
+        b'\xef\xbb\xbf{"templates": [{"name": "C", "kind": "class", "fields": '
+        b'[{"name": "n", "var": true, "private": false, "type": {"head": "Int"}}]}]}'
+    )
+    code, out, err = run(capsys, ["analyze", document, "--ir", "--explain", "C"])
+    assert (code, err) == (0, "")
+    assert out == "C: mutable\n  C: reassignable field 'n' is public\n"
+
+
 def test_malformed_assumptions_exit_one(tmp_path, corpus_file, capsys):
     assume = tmp_path / "assume.txt"
     assume.write_text("Int deep\nwat\n", encoding="utf-8")

@@ -102,6 +102,39 @@ def test_duplicate_field_names_rejected():
         )
 
 
+#: The fields of one template per invariant TemplateDef rejects.
+INVALID_TEMPLATES = {
+    "object-type-parameter": dict(name="O", kind=TemplateKind.OBJECT, type_params=("T",)),
+    "repeated-type-parameter": dict(name="C", kind=TemplateKind.CLASS, type_params=("T", "T")),
+    "parameter-and-member": dict(
+        name="T", kind=TemplateKind.TRAIT, type_params=("X",),
+        abstract_type_members=frozenset({"X"}),
+    ),
+    "anonymous-without-parent": dict(name="A$anon$1", kind=TemplateKind.ANON_CLASS),
+    "duplicate-field": dict(
+        name="C", kind=TemplateKind.CLASS, fields=(val("x", "A"), val("x", "B"))
+    ),
+    "parent-is-own-parameter": dict(
+        name="S", kind=TemplateKind.CLASS, type_params=("T",), parents=(TypeRef("T"),)
+    ),
+}
+
+
+@pytest.mark.parametrize("fields", INVALID_TEMPLATES.values(), ids=INVALID_TEMPLATES.keys())
+def test_no_way_of_building_a_template_skips_its_invariants(fields):
+    defaults = TemplateDef._field_defaults
+    positional = [fields.get(n, defaults.get(n)) for n in TemplateDef._fields]
+    valid = TemplateDef("Valid", TemplateKind.CLASS)
+    for build in (
+        lambda: TemplateDef(*positional),
+        lambda: TemplateDef(**fields),
+        lambda: TemplateDef._make(positional),
+        lambda: valid._replace(**fields),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_has_abstract_types():
     plain = TemplateDef(name="C", kind=TemplateKind.CLASS)
     generic = TemplateDef(name="G", kind=TemplateKind.CLASS, type_params=("T",))

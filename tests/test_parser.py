@@ -352,6 +352,11 @@ RECOVERY_CASES = {
         ["f:1:24: expected ',' or ']', got 'Int'"],
         {"A": ["x"]},
     ),
+    "type-argument-not-a-type": (
+        "class A { val x: P[(A, B)] }",
+        ["f:1:20: expected a type, got '('"],
+        {"A": ["x"]},
+    ),
     "type-parameters-unclosed": (
         "class A[T",
         ["f:1:10: unexpected end of input, expected ']'"],
