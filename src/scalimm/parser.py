@@ -627,14 +627,17 @@ class _Parser:
                 if arg is not None:
                     args.append(arg)
                 else:
+                    bad = self.tok
                     self._skip_until(_PARAM_TAIL_STOPS)
+                    # Stopped on the token just reported, an unbalanced
+                    # closer or end of input: it is not a second error.
+                    if self.tok[2] == bad[2] and bad[0] not in (",", "]"):
+                        break
                 tok = self.tok
                 if tok[0] not in (",", "]"):
                     self._error(
                         tok, f"expected ',' or ']', got {self._describe(tok)}"
                     )
-                    if tok[0] == "eof":
-                        break
                     self._skip_until(_PARAM_TAIL_STOPS)
                 if self.tok[0] == ",":
                     self._advance()

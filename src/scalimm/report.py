@@ -9,7 +9,7 @@ formats so reports can be compared byte for byte.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .classify import AnalysisResult, AttributeKey, EvidenceRecord
 from .ir import INFERRED_HEAD, FieldDecl, TemplateGraph, TemplateKind
@@ -30,16 +30,7 @@ __all__ = [
     "summarize_by_kind",
 ]
 
-#: Fixed row order of the kind summary.
-_KIND_ORDER: tuple[TemplateKind, ...] = (
-    TemplateKind.CLASS,
-    TemplateKind.CASE_CLASS,
-    TemplateKind.ANON_CLASS,
-    TemplateKind.TRAIT,
-    TemplateKind.OBJECT,
-    TemplateKind.CASE_OBJECT,
-)
-
+#: Row order and label of the kind summary.
 _KIND_LABELS: dict[TemplateKind, str] = {
     TemplateKind.CLASS: "Class",
     TemplateKind.CASE_CLASS: "Case class",
@@ -68,7 +59,8 @@ def _pct(count: int, total: int) -> str:
 
 
 class KindRow(NamedTuple):
-    """One summary row; ``kind`` None marks the total row."""
+    """One summary row; ``kind`` None marks the total row.  The columns
+    after ``occurrences`` count the verdicts of ``_COLUMN_VERDICTS``."""
 
     kind: TemplateKind | None
     occurrences: int
@@ -80,6 +72,14 @@ class KindRow(NamedTuple):
     @property
     def label(self) -> str:
         return "Total" if self.kind is None else _KIND_LABELS[self.kind]
+
+
+_COLUMN_VERDICTS = (
+    Verdict.MUTABLE,
+    Verdict.SHALLOW_IMMUTABLE,
+    Verdict.DEEP_IMMUTABLE,
+    Verdict.CONDITIONALLY_DEEP,
+)
 
 
 class KindSummaryTable(NamedTuple):
@@ -113,33 +113,16 @@ def summarize_by_kind(
 ) -> KindSummaryTable:
     """Count verdicts per template kind.  Percentages are a rendering
     concern and are not stored."""
-    counts: dict[TemplateKind, Counter] = {kind: Counter() for kind in _KIND_ORDER}
-    for name, verdict in result.verdicts.items():
-        counts[graph.templates[name].kind][verdict] += 1
-
-    rows: list[KindRow] = []
-    for kind in _KIND_ORDER:
-        c = counts[kind]
-        rows.append(
-            KindRow(
-                kind=kind,
-                occurrences=sum(c.values()),
-                mutable=c[Verdict.MUTABLE],
-                shallow=c[Verdict.SHALLOW_IMMUTABLE],
-                deep=c[Verdict.DEEP_IMMUTABLE],
-                cond_deep=c[Verdict.CONDITIONALLY_DEEP],
-            )
-        )
-    rows.append(
-        KindRow(
-            kind=None,
-            occurrences=sum(r.occurrences for r in rows),
-            mutable=sum(r.mutable for r in rows),
-            shallow=sum(r.shallow for r in rows),
-            deep=sum(r.deep for r in rows),
-            cond_deep=sum(r.cond_deep for r in rows),
-        )
+    templates = graph.templates
+    counts = Counter(
+        (templates[name].kind, verdict)
+        for name, verdict in result.verdicts.items()
     )
+    rows = []
+    for kind in _KIND_LABELS:
+        columns = [counts[kind, verdict] for verdict in _COLUMN_VERDICTS]
+        rows.append(KindRow(kind, sum(columns), *columns))
+    rows.append(KindRow(None, *map(sum, list(zip(*rows))[1:])))
     return KindSummaryTable(tuple(rows))
 
 
@@ -155,15 +138,12 @@ def attribute_combinations(
         raise ValueError(
             f"{verdict.name} templates carry no attributes to combine"
         )
-    combos: Counter = Counter()
-    for name, v in result.verdicts.items():
-        if v is verdict:
-            key = " ".join(sorted(a.value for a in result.attributes[name]))
-            combos[key] += 1
-    rows = tuple(
-        ComboRow(key, combos[key]) for key in sorted(combos)
+    combos = Counter(
+        " ".join(sorted(a.value for a in result.attributes[name]))
+        for name, v in result.verdicts.items()
+        if v is verdict
     )
-    return ComboTable(verdict, rows)
+    return ComboTable(verdict, tuple(map(ComboRow._make, sorted(combos.items()))))
 
 
 def build_report(
@@ -183,6 +163,28 @@ _SUMMARY_HEADERS = ("Kind", "Occurrences", "Mutable", "Shallow", "Deep", "Cond. 
 _COMBO_HEADERS = ("Attributes", "Occurrences")
 
 
+def _cells(
+    tables: _ReportTables, cell: Callable[[int, int], str]
+) -> list[list[tuple[str, ...]]]:
+    """The three tables as rows of string cells, in table order.  ``cell``
+    renders a count against its base: the corpus total for a kind's
+    occurrences, the row's occurrences for a verdict column, and the
+    verdict's total for an attribute combination."""
+    summary, *combos = tables
+    total = summary.total.occurrences
+    cells = [
+        [
+            (row.label, cell(row.occurrences, total))
+            + tuple(cell(n, row.occurrences) for n in row[2:])
+            for row in summary.rows
+        ]
+    ]
+    for combo in combos:
+        base = sum(row.occurrences for row in combo.rows)
+        cells.append([(r.attributes, cell(r.occurrences, base)) for r in combo.rows])
+    return cells
+
+
 def _layout(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -195,126 +197,43 @@ def _layout(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
     return [fmt(headers)] + [fmt(row) for row in rows]
 
 
-def _summary_cells(table: KindSummaryTable) -> list[tuple[str, ...]]:
-    total = table.total.occurrences
-    cells = []
-    for row in table.rows:
-        cells.append(
-            (
-                row.label,
-                format_count(row.occurrences, total),
-                format_count(row.mutable, row.occurrences),
-                format_count(row.shallow, row.occurrences),
-                format_count(row.deep, row.occurrences),
-                format_count(row.cond_deep, row.occurrences),
-            )
-        )
-    return cells
-
-def _combo_title(table: ComboTable) -> str:
-    return f"Attributes causing {_VERDICT_PHRASES[table.verdict]} verdicts"
-
-
-def _render_text(tables: _ReportTables) -> bytes:
-    summary, mutable_combos, shallow_combos = tables
-    lines: list[str] = ["Immutability by template kind", ""]
-    lines.extend(_layout(_SUMMARY_HEADERS, _summary_cells(summary)))
-    for combo in (mutable_combos, shallow_combos):
-        verdict_total = sum(r.occurrences for r in combo.rows)
-        lines.extend(["", _combo_title(combo), ""])
-        rows = [
-            (row.attributes, format_count(row.occurrences, verdict_total))
-            for row in combo.rows
-        ]
-        lines.extend(_layout(_COMBO_HEADERS, rows))
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _render_csv(tables: _ReportTables) -> bytes:
-    summary, mutable_combos, shallow_combos = tables
-    total = summary.total.occurrences
-    lines = [
-        "kind,occurrences,occurrences_pct,mutable,mutable_pct,"
-        "shallow,shallow_pct,deep,deep_pct,cond_deep,cond_deep_pct"
-    ]
-    for row in summary.rows:
-        lines.append(
-            ",".join(
-                (
-                    row.label,
-                    str(row.occurrences),
-                    _pct(row.occurrences, total),
-                    str(row.mutable),
-                    _pct(row.mutable, row.occurrences),
-                    str(row.shallow),
-                    _pct(row.shallow, row.occurrences),
-                    str(row.deep),
-                    _pct(row.deep, row.occurrences),
-                    str(row.cond_deep),
-                    _pct(row.cond_deep, row.occurrences),
-                )
-            )
-        )
-    lines.append("")
-    lines.append("verdict,attributes,occurrences,occurrences_pct")
-    for combo in (mutable_combos, shallow_combos):
-        verdict_total = sum(r.occurrences for r in combo.rows)
-        token = VERDICT_TOKENS[combo.verdict]
-        for row in combo.rows:
-            lines.append(
-                ",".join(
-                    (
-                        token,
-                        row.attributes,
-                        str(row.occurrences),
-                        _pct(row.occurrences, verdict_total),
-                    )
-                )
-            )
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _report_to_dict(tables: _ReportTables) -> dict:
-    """Counts-only mirror of the three tables, for the JSON format."""
-    summary, mutable_combos, shallow_combos = tables
-
-    def combo_rows(table: ComboTable) -> list[dict]:
-        return [
-            {"attributes": row.attributes, "occurrences": row.occurrences}
-            for row in table.rows
-        ]
-
-    return {
-        "summary": [
-            {
-                "kind": row.label,
-                "occurrences": row.occurrences,
-                "mutable": row.mutable,
-                "shallow": row.shallow,
-                "deep": row.deep,
-                "cond_deep": row.cond_deep,
-            }
-            for row in summary.rows
-        ],
-        "mutable_combos": combo_rows(mutable_combos),
-        "shallow_combos": combo_rows(shallow_combos),
-    }
+def _csv_header(fields: tuple[str, ...]) -> str:
+    """The first field, then each count field followed by its share."""
+    return ",".join([fields[0]] + [f"{f},{f}_pct" for f in fields[1:]])
 
 
 def render_report(tables: _ReportTables, format: str = "text") -> bytes:
     """Render the three tables deterministically as UTF-8 bytes."""
+    summary, *combos = tables
     if format == "text":
-        return _render_text(tables)
-    if format == "csv":
-        return _render_csv(tables)
-    if format == "json":
+        summary_cells, *combo_cells = _cells(tables, format_count)
+        lines = ["Immutability by template kind", ""]
+        lines += _layout(_SUMMARY_HEADERS, summary_cells)
+        for combo, cells in zip(combos, combo_cells):
+            phrase = _VERDICT_PHRASES[combo.verdict]
+            lines += ["", f"Attributes causing {phrase} verdicts", ""]
+            lines += _layout(_COMBO_HEADERS, cells)
+    elif format == "csv":
+        summary_cells, *combo_cells = _cells(tables, lambda n, b: f"{n},{_pct(n, b)}")
+        lines = [_csv_header(KindRow._fields)]
+        lines += [",".join(row) for row in summary_cells]
+        lines += ["", "verdict," + _csv_header(ComboRow._fields)]
+        for combo, rows in zip(combos, combo_cells):
+            token = VERDICT_TOKENS[combo.verdict]
+            lines += [",".join((token,) + row) for row in rows]
+    elif format == "json":
         import json  # here, so a text or csv run never loads it
 
-        return (
-            json.dumps(_report_to_dict(tables), indent=2, ensure_ascii=False)
-            + "\n"
-        ).encode("utf-8")
-    raise ValueError(f"unknown report format {format!r}")
+        # Counts only: the summary rows with each kind's label, then one
+        # list of attribute combinations per verdict.
+        data = {"summary": [r._asdict() | {"kind": r.label} for r in summary.rows]}
+        for combo in combos:
+            key = f"{VERDICT_TOKENS[combo.verdict]}_combos"
+            data[key] = [row._asdict() for row in combo.rows]
+        lines = [json.dumps(data, indent=2, ensure_ascii=False)]
+    else:
+        raise ValueError(f"unknown report format {format!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # ---- per-template explanations --------------------------------------------

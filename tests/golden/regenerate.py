@@ -4,9 +4,10 @@ Run from the repository root:
 
     python3 tests/golden/regenerate.py
 
-Rewrites expected_ir.json, expected_report.txt and expected_explain.txt
-(one ``--explain`` block per template, in graph order) from the .scala
-sources.
+Rewrites expected_ir.json, the report in all three formats
+(expected_report.txt, expected_report.csv and expected_report.json) and
+expected_explain.txt (one ``--explain`` block per template, in graph
+order) from the .scala sources.
 expected_result.json is hand-maintained (see DERIVATION.md) and is only
 checked here; a mismatch means either the sources changed without updating
 the derivation or the analyzer changed behavior.
@@ -74,9 +75,11 @@ def main() -> int:
         return 1
 
     (GOLDEN / "expected_ir.json").write_bytes(serialize_ir(corpus.graph))
-    (GOLDEN / "expected_report.txt").write_bytes(
-        render_report(build_report(result, corpus.graph), "text")
-    )
+    tables = build_report(result, corpus.graph)
+    for format, suffix in (("text", "txt"), ("csv", "csv"), ("json", "json")):
+        (GOLDEN / f"expected_report.{suffix}").write_bytes(
+            render_report(tables, format)
+        )
     (GOLDEN / "expected_explain.txt").write_text(
         "".join(
             render_explanation(explain(result, name)) + "\n"
@@ -86,8 +89,8 @@ def main() -> int:
         newline="\n",
     )
     print(
-        "regenerated expected_ir.json, expected_report.txt and "
-        "expected_explain.txt"
+        "regenerated expected_ir.json, expected_report.{txt,csv,json} "
+        "and expected_explain.txt"
     )
     return 0
 

@@ -16,8 +16,8 @@ Criteria:
    is conditionally deep, every var-declaring template is mutable, and
    attribute sets match the verdict's own group.
 5. The committed golden corpus classifies exactly to its hand-derived
-   expected file and renders the byte-identical committed text report,
-   in under 1 second.
+   expected file and renders the byte-identical committed report in text,
+   CSV and JSON, in under 1 second.
 6. Argument substitution equals brute-force monomorphization on 500
    random layered generic graphs of up to 6 templates.
 7. Count-with-percentage cells format as "124 (19.8%)".
@@ -216,8 +216,15 @@ def test_criterion_5_golden_corpus_classification_and_report():
         name: sorted(a.value for a in result.attributes[name])
         for name in result.verdicts
     }
-    rendered = render_report(build_report(result, graph), "text")
-    committed = (GOLDEN / "expected_report.txt").read_bytes()
+    tables = build_report(result, graph)
+    rendered = {
+        suffix: render_report(tables, format)
+        for format, suffix in (("text", "txt"), ("csv", "csv"), ("json", "json"))
+    }
+    committed = {
+        suffix: (GOLDEN / f"expected_report.{suffix}").read_bytes()
+        for suffix in rendered
+    }
     elapsed = time.perf_counter() - start
     passed = (
         actual_verdicts == expected["verdicts"]
@@ -228,12 +235,13 @@ def test_criterion_5_golden_corpus_classification_and_report():
     _announce(
         5,
         f"golden corpus of {len(graph.templates)} templates matches the "
-        f"hand-derived results and byte-identical report ({elapsed:.2f}s)",
+        f"hand-derived results and byte-identical reports ({elapsed:.2f}s)",
         passed,
     )
     assert actual_verdicts == expected["verdicts"]
     assert actual_attributes == expected["attributes"]
-    assert rendered == committed
+    for suffix in rendered:
+        assert rendered[suffix] == committed[suffix], suffix
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 

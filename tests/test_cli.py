@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, formats, IR round trips, diagnostics."""
 
+import contextlib
 import glob
+import io
 import json
 import os
 import shutil
@@ -548,6 +550,18 @@ def test_stdout_gets_the_out_bytes_under_a_non_utf8_encoding(tmp_path, flags):
     assert printed.stdout == out.read_bytes()
 
 
+def test_a_text_only_stdout_gets_the_report_decoded():
+    """A stream without a byte buffer, such as io.StringIO, is written the
+    report's text instead of its bytes."""
+    argv = ["analyze", str(GOLDEN), "--assume", str(GOLDEN / "assumptions.txt")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run_cli(argv)
+    assert code == 0
+    expected = (GOLDEN / "expected_report.txt").read_bytes().decode("utf-8")
+    assert stdout.getvalue() == expected
+
+
 def _python_3_10():
     """A CPython 3.10 interpreter, or None.  A version shim on PATH may
     exist without the version it names, so each candidate is asked."""
@@ -600,5 +614,6 @@ def test_regenerate_rewrites_the_golden_artifacts_byte_for_byte(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("regenerated ")
     for name in ("expected_ir.json", "expected_report.txt",
+                 "expected_report.csv", "expected_report.json",
                  "expected_explain.txt", "expected_result.json"):
         assert (golden / name).read_bytes() == (GOLDEN / name).read_bytes(), name

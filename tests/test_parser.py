@@ -357,6 +357,44 @@ RECOVERY_CASES = {
         ["f:1:20: expected a type, got '('"],
         {"A": ["x"]},
     ),
+    # A bad argument that is an unbalanced closer or end of input is
+    # reported once, not again as a missing separator.
+    "type-argument-unbalanced-paren": (
+        "class C(a: P[) val]) extends D",
+        [
+            "f:1:14: expected a type, got ')'",
+            "f:1:16: expected a class, trait or object definition, got 'val'",
+        ],
+        {"C": []},
+    ),
+    "type-argument-unbalanced-brace": (
+        "class C { val x: P[}", ["f:1:20: expected a type, got '}'"], {"C": ["x"]}
+    ),
+    "type-argument-after-comma-unbalanced": (
+        "class C { val x: P[A, )",
+        [
+            "f:1:23: expected a type, got ')'",
+            "f:1:23: expected a member, got ')'",
+            "f:1:24: unexpected end of input, expected '}'",
+        ],
+        {"C": ["x"]},
+    ),
+    "type-argument-at-end-of-input": (
+        "class C { val x: P[A,",
+        [
+            "f:1:22: expected a type, got end of input",
+            "f:1:22: unexpected end of input, expected '}'",
+        ],
+        {"C": ["x"]},
+    ),
+    "type-arguments-unclosed": (
+        "class C { val x: P[A",
+        [
+            "f:1:21: expected ',' or ']', got end of input",
+            "f:1:21: unexpected end of input, expected '}'",
+        ],
+        {"C": ["x"]},
+    ),
     "type-parameters-unclosed": (
         "class A[T",
         ["f:1:10: unexpected end of input, expected ']'"],
@@ -404,6 +442,16 @@ def test_recovery_branches(text, diagnostics, templates):
     result = parse_source("f", text)
     assert [str(d) for d in result.diagnostics] == diagnostics
     assert {t.name: [f.name for f in t.fields] for t in result.templates} == templates
+
+
+def test_bad_type_bound_drops_the_member_and_parsing_goes_on():
+    result = parse_source("f", "class A { type M <: 1; val x: Int }")
+    assert [str(d) for d in result.diagnostics] == ["f:1:21: expected a type, got '1'"]
+    [template] = result.templates
+    assert [(f.name, f.declared_type) for f in template.fields] == [
+        ("x", TypeRef("Int"))
+    ]
+    assert template.abstract_type_members == frozenset()
 
 
 # ---- lexical diagnostics ---------------------------------------------------
