@@ -9,6 +9,8 @@ anonymous-class template.
 
 Errors are collected as positioned diagnostics and parsing continues
 wherever recovery is possible, so one run reports as much as it can.
+One gate keeps the first diagnostic reported at a position and drops any
+later one there: at most one per position, listed in source order.
 """
 
 from __future__ import annotations
@@ -166,17 +168,11 @@ def _comment_end(text: str, start: int) -> int | None:
 
 
 def _tokens(
-    text: str,
-    locate: Callable[[int], SourcePosition],
-    diagnostics: list[ParseDiagnostic],
+    text: str, report: Callable[[int, str], object]
 ) -> Generator[_Token, int | None, None]:
-    """Lex ``text`` one token per ``next``, adding lexical errors to
-    ``diagnostics`` as it goes; after the end of input, eof repeats.
+    """Lex ``text`` one token per ``next``, calling ``report(offset,
+    message)`` on each lexical error; after the end of input, eof repeats.
     ``send(offset)`` lexes on from ``offset``, where a token must start."""
-
-    def report(offset: int, message: str) -> None:
-        diagnostics.append(ParseDiagnostic(locate(offset), message))
-
     pos = 0
     while True:  # restart at pos after a block comment, a numeral or a send
         for m in _TOKEN.finditer(text, pos):
@@ -277,9 +273,11 @@ class _Parser:
     def __init__(self, file: str, text: str) -> None:
         self._text = text
         self._locate = _locator(file, text)
-        self.diagnostics: list[ParseDiagnostic] = []
+        # Offset to message, filled only by setdefault: the one gate that
+        # keeps the first diagnostic at an offset and drops later ones.
+        self.reported: dict[int, str] = {}
         # The lexer holds no reference to the parser, so no cycle forms.
-        self._lexer = _tokens(text, self._locate, self.diagnostics)
+        self._lexer = _tokens(text, self.reported.setdefault)
         self._next = self._lexer.__next__
         self.tok: _Token = self._next()  # the current token
         self._unclosed: set[int] = set()  # openers _group_end gave up on
@@ -297,11 +295,8 @@ class _Parser:
         self.tok = self._next()
         return tok
 
-    def _position(self, tok: _Token) -> SourcePosition:
-        return self._locate(tok[2])
-
     def _error(self, tok: _Token, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(self._position(tok), message))
+        self.reported.setdefault(tok[2], message)
 
     def _describe(self, tok: _Token) -> str:
         return "end of input" if tok[0] == "eof" else repr(tok[1])
@@ -441,7 +436,7 @@ class _Parser:
         name = f"{enclosing}.{name_tok[1]}" if enclosing else name_tok[1]
         slot = len(self.templates)
         self.templates.append(None)
-        self.positions.append(self._position(name_tok))
+        self.positions.append(self._locate(name_tok[2]))
 
         type_params: tuple[str, ...] = ()
         if self.tok[0] == "[":
@@ -611,10 +606,8 @@ class _Parser:
         self._advance()
         parts = [name_tok[1]]
         while self.tok[0] == ".":
-            mark = len(self.diagnostics)
             dot = self._advance()
             if self.tok[0] != "ident":  # not a qualified head: back to the dot
-                del self.diagnostics[mark:]  # lexing on reports them again
                 self.tok = self._lexer.send(dot[2])
                 break
             parts.append(self._advance()[1])
@@ -627,12 +620,7 @@ class _Parser:
                 if arg is not None:
                     args.append(arg)
                 else:
-                    bad = self.tok
                     self._skip_until(_PARAM_TAIL_STOPS)
-                    # Stopped on the token just reported, an unbalanced
-                    # closer or end of input: it is not a second error.
-                    if self.tok[2] == bad[2] and bad[0] not in (",", "]"):
-                        break
                 tok = self.tok
                 if tok[0] not in (",", "]"):
                     self._error(
@@ -749,7 +737,7 @@ class _Parser:
         anon_name = f"{owner}$anon${count}"
         slot = len(self.templates)
         self.templates.append(None)
-        self.positions.append(self._position(new_tok))
+        self.positions.append(self._locate(new_tok[2]))
 
         anon_fields: list[FieldDecl] = []
         anon_abstract: set[str] = set()
@@ -803,7 +791,8 @@ def parse_source(file: str, text: str) -> ParseResult:
     """Parse one file into template definitions plus diagnostics.
 
     Recovery keeps going after errors, so both lists can be non-empty;
-    the parse succeeded only when diagnostics is empty.  Diagnostics are
+    the parse succeeded only when diagnostics is empty.  There is at most
+    one diagnostic per position, the first reported there, and they are
     listed in source order, lexical and grammar ones interleaved.
     """
     parser = _Parser(file, text)
@@ -813,9 +802,10 @@ def parse_source(file: str, text: str) -> ParseResult:
         for template, position in zip(parser.templates, parser.positions)
         if template is not None
     ]
-    diagnostics = sorted(
-        parser.diagnostics, key=lambda d: (d.position.line, d.position.column)
-    )
+    diagnostics = [
+        ParseDiagnostic(parser._locate(offset), message)
+        for offset, message in sorted(parser.reported.items())
+    ]
     return ParseResult(
         [template for template, _ in parsed],
         diagnostics,
@@ -827,19 +817,20 @@ def parse_corpus(files: Iterable[tuple[str, str]]) -> CorpusParse:
     """Parse and merge a corpus in the given file order.
 
     Duplicate template names across (or within) files are reported at the
-    second definition, naming the first.  A graph is built only when no
-    diagnostics were produced.
+    second definition, naming the first, in source order among the file's
+    other diagnostics.  A graph is built only when no diagnostics were
+    produced.
     """
     templates: list[TemplateDef] = []
     diagnostics: list[ParseDiagnostic] = []
     first_seen: dict[str, SourcePosition] = {}
     for path, text in files:
         result = parse_source(path, text)
-        diagnostics.extend(result.diagnostics)
+        found = result.diagnostics
         for template, position in zip(result.templates, result.positions):
             previous = first_seen.get(template.name)
             if previous is not None:
-                diagnostics.append(
+                found.append(
                     ParseDiagnostic(
                         position,
                         f"duplicate template name {template.name!r} "
@@ -849,6 +840,7 @@ def parse_corpus(files: Iterable[tuple[str, str]]) -> CorpusParse:
                 continue
             first_seen[template.name] = position
             templates.append(template)
+        diagnostics += sorted(found)  # one file: by line, then column
     if diagnostics:
         return CorpusParse(None, diagnostics)
     return CorpusParse(build_graph(templates), [])

@@ -4,7 +4,8 @@ Every mutant must end the way the command line documents: a report (exit
 0), diagnostics (exit 1) or a usage error (exit 2), never an internal
 error.  On exit 1 every line on the error stream is a diagnostic that
 names the input: ``file:line:col: `` for sources, ``<document>: `` for an
-IR document.
+IR document.  A source file gets at most one diagnostic per position, and
+its positions strictly increase.
 """
 
 import copy
@@ -91,8 +92,16 @@ def _check(capsys, argv, diagnostic):
     assert code in (0, 1, 2), (argv, code, err)
     assert "internal error" not in err, (argv, err)
     if code == 1:
+        last = {}  # file -> (line, column) of its latest diagnostic
         for line in err.splitlines():
-            assert diagnostic.match(line), (argv, line)
+            match = diagnostic.match(line)
+            assert match, (argv, line)
+            if match.groups():  # file, line and column of a source diagnostic
+                file, at = match[1], (int(match[2]), int(match[3]))
+                previous = last.get(file, (0, 0))
+                assert at != previous, ("repeated position", argv, line)
+                assert at > previous, ("out of order", argv, line)
+                last[file] = at
 
 
 def test_mutated_sources_end_in_a_report_or_positioned_diagnostics(
@@ -108,7 +117,9 @@ def test_mutated_sources_end_in_a_report_or_positioned_diagnostics(
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     assume = str(GOLDEN / "assumptions.txt")
-    diagnostic = re.compile(re.escape(str(corpus)) + r"/\w+\.scala:\d+:\d+: ")
+    diagnostic = re.compile(
+        re.escape(str(corpus)) + r"/(\w+\.scala):(\d+):(\d+): "
+    )
     for _ in range(MUTANTS):
         victim = rng.choice(sorted(sources))
         for name, text in sources.items():

@@ -374,26 +374,44 @@ RECOVERY_CASES = {
         "class C { val x: P[A, )",
         [
             "f:1:23: expected a type, got ')'",
-            "f:1:23: expected a member, got ')'",
             "f:1:24: unexpected end of input, expected '}'",
         ],
         {"C": ["x"]},
     ),
     "type-argument-at-end-of-input": (
         "class C { val x: P[A,",
-        [
-            "f:1:22: expected a type, got end of input",
-            "f:1:22: unexpected end of input, expected '}'",
-        ],
+        ["f:1:22: expected a type, got end of input"],
         {"C": ["x"]},
     ),
     "type-arguments-unclosed": (
         "class C { val x: P[A",
-        [
-            "f:1:21: expected ',' or ']', got end of input",
-            "f:1:21: unexpected end of input, expected '}'",
-        ],
+        ["f:1:21: expected ',' or ']', got end of input"],
         {"C": ["x"]},
+    ),
+    # Only the first diagnostic at a position is kept: a bad argument
+    # nested a level down, a lexical error at a token the grammar rejects,
+    # a closer that ends a list and then starts no definition, and nested
+    # bodies that the end of input leaves open.
+    "type-argument-nested-unbalanced": (
+        "class C { val x: P[Q[) }",
+        ["f:1:22: expected a type, got ')'"],
+        {"C": ["x"]},
+    ),
+    "parameter-type-unbalanced-brace": (
+        "class C(a: } ) extends D",
+        ["f:1:12: expected a type, got '}'"],
+        {"C": []},
+    ),
+    "unterminated-string-at-top-level": (
+        '"abc\nclass A', ["f:1:1: unterminated string literal"], {"A": []}
+    ),
+    "parameters-unclosed-before-brace": (
+        "class A(x: Int\n}", ["f:2:1: expected ',' or ')', got '}'"], {"A": []}
+    ),
+    "nested-bodies-unclosed": (
+        "class A { class B { val x: Int",
+        ["f:1:31: unexpected end of input, expected '}'"],
+        {"A": [], "A.B": ["x"]},
     ),
     "type-parameters-unclosed": (
         "class A[T",
@@ -586,10 +604,10 @@ def _lex_all(text):
     """Every token of ``text`` up to eof, and the offsets of the errors
     lexing reports."""
     tokens, errors = [], []
-    for token in _tokens(text, lambda offset: offset, errors):
+    for token in _tokens(text, lambda offset, message: errors.append(offset)):
         tokens.append(token)
         if token[0] == "eof":
-            return tokens, [error.position for error in errors]
+            return tokens, errors
 
 
 def _big_source():
@@ -861,6 +879,14 @@ def test_duplicate_name_within_one_file_is_reported_at_the_second_definition():
     corpus = parse_corpus([("f.scala", "class A\nclass A\n")])
     assert [str(d) for d in corpus.diagnostics] == [
         "f.scala:2:7: duplicate template name 'A' (first defined at f.scala:1:7)"
+    ]
+
+
+def test_duplicate_name_is_listed_in_source_order_among_parse_diagnostics():
+    corpus = parse_corpus([("b", "class A\nclass A { val z: P[) }")])
+    assert [str(d) for d in corpus.diagnostics] == [
+        "b:2:7: duplicate template name 'A' (first defined at b:1:7)",
+        "b:2:20: expected a type, got ')'",
     ]
 
 
