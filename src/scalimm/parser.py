@@ -11,6 +11,8 @@ Errors are collected as positioned diagnostics and parsing continues
 wherever recovery is possible, so one run reports as much as it can.
 One gate keeps the first diagnostic reported at a position and drops any
 later one there: at most one per position, listed in source order.
+Skips match brackets on one stack and report a closer that does not
+match, so a clean parse has brackets that nest outside literals and comments.
 """
 
 from __future__ import annotations
@@ -308,6 +310,20 @@ class _Parser:
         self._error(tok, f"expected identifier, got {self._describe(tok)}")
         return None
 
+    def _reserve(self, tok: _Token) -> int:
+        """Append an empty template slot positioned at ``tok``; return it."""
+        self.templates.append(None)
+        self.positions.append(self._locate(tok[2]))
+        return len(self.templates) - 1
+
+    def _define(self, slot: int, tok: _Token, *fields: object) -> bool:
+        """Fill ``slot`` with ``TemplateDef(*fields)`` or report at ``tok``."""
+        try:
+            self.templates[slot] = TemplateDef(*fields)
+        except ValueError as exc:
+            self._error(tok, str(exc))
+        return self.templates[slot] is not None
+
     # -- recovery --
 
     def _pass_group(self) -> bool:
@@ -323,53 +339,50 @@ class _Parser:
         self.tok = self._lexer.send(end)
         return True
 
-    def _skip_group(self, open_char: str) -> None:
-        """Consume a balanced (), [] or {} group, open token included."""
+    def _skip_group(self) -> None:
+        """Consume the group the current opener starts.  A closer that does
+        not match it is reported and left, as is the end of input."""
         if self._pass_group():
             return
-        close_char = _CLOSER[open_char]
-        depth = 0
-        tok, pull = self.tok, self._next
-        while True:
-            kind = tok[0]
-            if kind == "eof":
-                self._error(tok, f"unexpected end of input, expected {close_char!r}")
-                return
-            if kind == open_char:
-                depth += 1
-            elif kind == close_char:
-                depth -= 1
-                if depth == 0:
-                    self.tok = pull()
-                    return
-            tok = self.tok = pull()
+        close_char = _CLOSER[self._advance()[0]]
+        self._skip_until(frozenset())
+        tok = self.tok
+        if tok[0] == close_char:
+            self._advance()
+        elif tok[0] == "eof":
+            self._error(tok, f"unexpected end of input, expected {close_char!r}")
+        else:
+            self._error(tok, f"expected {close_char!r}, got {tok[1]!r}")
 
     def _skip_until(self, stops: frozenset[str]) -> None:
-        """Skip tokens up to a keyword or punctuation mark in ``stops`` at
-        bracket depth 0, an unbalanced closing bracket or end of input.
+        """Skip tokens up to a keyword or punctuation mark in ``stops`` with
+        no bracket open, a closer that matches no open bracket, or eof.
 
-        ( ), [ ] and { } are counted separately, so nested stops do not end
-        the skip.  A group the structural scan passes nests properly, so
-        counting its tokens would give the same end: one step passes it.
+        One stack holds the open brackets, so a clean parse nests.  A closer
+        that does not match the innermost is reported and closes down to
+        its match, found innermost first to keep the skip linear.  A group
+        the structural scan passes nests, so one step passes it.
         """
-        depth = {"(": 0, "[": 0, "{": 0}
+        opened: list[str] = []  # the closers awaited, innermost last
         tok, pull = self.tok, self._next
         while True:
             kind = tok[0]
-            if kind == "eof":
+            if kind == "eof" or (kind in stops and not opened):
                 return
-            if kind in stops and not any(depth.values()):
-                return
-            if kind in depth:
+            if kind in _CLOSER:
                 if self._pass_group():
                     tok = self.tok
                     continue
-                depth[kind] += 1
+                opened.append(_CLOSER[kind])
             elif kind in _OPENER:
-                opener = _OPENER[kind]
-                if depth[opener] == 0:
+                if opened and opened[-1] != kind:
+                    self._error(tok, f"expected {opened[-1]!r}, got {kind!r}")
+                i = len(opened)
+                while i and opened[i - 1] != kind:
+                    i -= 1
+                if not i:
                     return
-                depth[opener] -= 1
+                del opened[i - 1 :]
             tok = self.tok = pull()
 
     def _skip_member_tail(self) -> None:
@@ -434,9 +447,7 @@ class _Parser:
 
         kind = TemplateKind(f"case_{keyword}" if is_case else keyword)
         name = f"{enclosing}.{name_tok[1]}" if enclosing else name_tok[1]
-        slot = len(self.templates)
-        self.templates.append(None)
-        self.positions.append(self._locate(name_tok[2]))
+        slot = self._reserve(name_tok)
 
         type_params: tuple[str, ...] = ()
         if self.tok[0] == "[":
@@ -444,7 +455,7 @@ class _Parser:
                 self._error(
                     self.tok, f"an {keyword} cannot have type parameters"
                 )
-                self._skip_group("[")
+                self._skip_group()
             else:
                 type_params = self._parse_type_params()
 
@@ -455,7 +466,7 @@ class _Parser:
                 self._error(
                     self.tok, f"a {keyword} cannot have constructor parameters"
                 )
-                self._skip_group("(")
+                self._skip_group()
             else:
                 self._parse_ctor_params(kind, fields if first_list else None)
             first_list = False
@@ -476,19 +487,10 @@ class _Parser:
         if self.tok[0] == "{":
             self._parse_body(name, fields, abstract_members)
 
-        try:
-            template = TemplateDef(
-                name=name,
-                kind=kind,
-                type_params=type_params,
-                abstract_type_members=frozenset(abstract_members),
-                parents=tuple(parents),
-                fields=tuple(fields),
-            )
-        except ValueError as exc:
-            self._error(name_tok, str(exc))
-            return
-        self.templates[slot] = template
+        self._define(
+            slot, name_tok, name, kind, type_params,
+            frozenset(abstract_members), tuple(parents), tuple(fields),
+        )
 
     def _parse_type_params(self) -> tuple[str, ...]:
         self._advance()  # [
@@ -508,13 +510,14 @@ class _Parser:
                 names.append(name_tok[1])
             # Bounds, context annotations and higher-kinded shapes are
             # skipped up to the next comma or the closing bracket, nested
-            # brackets of all three kinds counted; a stray ) or } is passed.
+            # brackets matched; a stray ) or } is reported and ends the list.
             self._skip_until(_PARAM_TAIL_STOPS)
-            while self.tok[0] in (")", "}"):
+            tok = self.tok
+            if tok[0] == ",":
                 self._advance()
-                self._skip_until(_PARAM_TAIL_STOPS)
-            if self.tok[0] == ",":
-                self._advance()
+            elif tok[0] in (")", "}"):
+                self._error(tok, f"expected ',' or ']', got {tok[1]!r}")
+                break
         return tuple(names)
 
     def _parse_ctor_params(
@@ -585,7 +588,7 @@ class _Parser:
             if self.tok[0] in ("private", "protected"):
                 private = self._advance()[1] == "private"
                 if self.tok[0] == "[":
-                    self._skip_group("[")
+                    self._skip_group()
                 elif private:
                     visibility = Visibility.PRIVATE
             elif self.tok[0] in _SOFT_MODIFIERS:
@@ -641,7 +644,7 @@ class _Parser:
             self._skip_member_tail()
             return None
         while self.tok[0] == "(":
-            self._skip_group("(")  # superclass constructor arguments
+            self._skip_group()  # superclass constructor arguments
         return ref
 
     def _parse_body(
@@ -650,7 +653,7 @@ class _Parser:
         if self._nesting == MAX_TEMPLATE_NESTING:
             limit = f"over {MAX_TEMPLATE_NESTING} template bodies"
             self._error(self.tok, f"nesting too deep: {limit}")
-            self._skip_group("{")
+            self._skip_group()
             return
         self._nesting += 1
         self._advance()  # {
@@ -728,16 +731,14 @@ class _Parser:
         if parent is None:
             return None
         while self.tok[0] == "(":
-            self._skip_group("(")  # constructor arguments
+            self._skip_group()  # constructor arguments
         if self.tok[0] != "{":
             return None
 
         count = self._anon_counters.get(owner, 0) + 1
         self._anon_counters[owner] = count
         anon_name = f"{owner}$anon${count}"
-        slot = len(self.templates)
-        self.templates.append(None)
-        self.positions.append(self._locate(new_tok[2]))
+        slot = self._reserve(new_tok)
 
         anon_fields: list[FieldDecl] = []
         anon_abstract: set[str] = set()
@@ -749,18 +750,11 @@ class _Parser:
                 "type members",
             )
             return None
-        try:
-            template = TemplateDef(
-                name=anon_name,
-                kind=TemplateKind.ANON_CLASS,
-                parents=(parent,),
-                fields=tuple(anon_fields),
-            )
-        except ValueError as exc:
-            self._error(new_tok, str(exc))
-            return None
-        self.templates[slot] = template
-        return TypeRef(anon_name)
+        defined = self._define(
+            slot, new_tok, anon_name, TemplateKind.ANON_CLASS, (), frozenset(),
+            (parent,), tuple(anon_fields),
+        )
+        return TypeRef(anon_name) if defined else None
 
     def _parse_type_member(self, abstract_members: set[str]) -> None:
         self._advance()  # type

@@ -189,6 +189,16 @@ def test_parse_diagnostics_exit_one_with_positions(tmp_path, capsys):
     assert "expected identifier" in err
 
 
+def test_an_unmatched_bracket_in_a_skipped_body_exits_one(tmp_path, capsys):
+    # Passed over in silence, the ( would hide ``var y`` up to the closing
+    # brace of the class, and A would read deep immutable.
+    source = tmp_path / "a.scala"
+    source.write_text("class A { def f = { ( }; var y: Int }\n", encoding="utf-8")
+    assert run(capsys, ["analyze", source, "--explain", "A"]) == (
+        1, "", f"{source}:1:23: expected ')', got '}}'\n"
+    )
+
+
 def test_assumptions_flag_changes_verdicts(tmp_path, capsys):
     source = tmp_path / "keeper.scala"
     source.write_text("class Keeper { val n: Int = 0 }\n", encoding="utf-8")

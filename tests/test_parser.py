@@ -128,9 +128,13 @@ def test_a_comma_inside_a_bound_adds_no_type_parameter(text, params):
     assert t.type_params == params
 
 
-def test_a_stray_closer_in_a_type_parameter_list_is_passed():
-    (t,) = parse_ok("class D[T), U}, V]")
-    assert t.type_params == ("T", "U", "V")
+def test_a_stray_closer_in_a_type_parameter_list_is_reported():
+    result = parse_source("f", "class D[T), U}, V]")
+    assert [str(d) for d in result.diagnostics] == [
+        "f:1:10: expected ',' or ']', got ')'"
+    ]
+    (t,) = result.templates
+    assert t.type_params == ("T",)
 
 
 def test_qualified_heads_and_nested_type_arguments():
@@ -413,6 +417,33 @@ RECOVERY_CASES = {
         ["f:1:31: unexpected end of input, expected '}'"],
         {"A": [], "A.B": ["x"]},
     ),
+    # A closer that does not match the innermost open bracket of a skip
+    # is reported, so no member after it is lost in silence.
+    "method-body-unmatched-paren": (
+        "class A { def f = { ( }; var y: Int }",
+        ["f:1:23: expected ')', got '}'"],
+        {"A": ["y"]},
+    ),
+    "method-body-unmatched-paren-in-brackets": (
+        "class A { def f = [ ( ] ; var y: Int }",
+        ["f:1:23: expected ')', got ']'"],
+        {"A": ["y"]},
+    ),
+    "initializer-unclosed-before-brace": (
+        "class A { val s: Int = load(\n  var y: Int\n}",
+        ["f:3:1: expected ')', got '}'"],
+        {"A": ["s"]},
+    ),
+    "superclass-arguments-unmatched": (
+        "class A extends B(]) { var y: Int }",
+        ["f:1:19: expected ')', got ']'"],
+        {"A": []},
+    ),
+    "qualifier-unmatched": (
+        "class A { private[p ) var y: Int }",
+        ["f:1:21: expected ']', got ')'"],
+        {"A": ["y"]},
+    ),
     "type-parameters-unclosed": (
         "class A[T",
         ["f:1:10: unexpected end of input, expected ']'"],
@@ -656,37 +687,40 @@ def test_a_finished_parse_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-_CLOSES = {")": "(", "]": "[", "}": "{"}
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
 
 
-def _reference_skip_until(tokens, pos, stops):
-    """Token-by-token skip with ( ), [ ] and { } counted separately."""
-    depth = {"(": 0, "[": 0, "{": 0}
+def _reference_skip(tokens, pos, stops):
+    """Token-by-token skip over one stack of open brackets: the index it
+    stops at, and the offsets of the closers it reports because they do
+    not match the innermost open bracket."""
+    stack, mismatches = [], []
     while tokens[pos][0] != "eof":
-        kind = tokens[pos][0]
-        if kind in stops and not any(depth.values()):
+        kind, _, offset = tokens[pos]
+        if kind in stops and not stack:
             break
-        if kind in depth:
-            depth[kind] += 1
-        elif kind in _CLOSES:
-            if depth[_CLOSES[kind]] == 0:
+        if kind in _CLOSER_OF:
+            stack.append(_CLOSER_OF[kind])
+        elif kind in _CLOSER_OF.values():
+            if stack and stack[-1] != kind:
+                mismatches.append(offset)
+            if kind not in stack:
                 break
-            depth[_CLOSES[kind]] -= 1
+            del stack[len(stack) - 1 - stack[::-1].index(kind) :]
         pos += 1
-    return pos
+    return pos, mismatches
 
 
-def _reference_skip_group(tokens, pos):
-    """Token-by-token skip of one group, counting its own bracket kind."""
-    opener = tokens[pos][0]
-    depth = 0
-    while tokens[pos][0] != "eof":
-        kind = tokens[pos][0]
-        depth += (kind == opener) - (_CLOSES.get(kind) == opener)
-        pos += 1
-        if depth == 0:
-            break
-    return pos
+def _nests(tokens):
+    """Whether the brackets among ``tokens`` nest, each closer matching
+    the innermost open bracket and none left open."""
+    stack = []
+    for kind, _, _ in tokens:
+        if kind in _CLOSER_OF:
+            stack.append(_CLOSER_OF[kind])
+        elif kind in _CLOSER_OF.values() and (not stack or stack.pop() != kind):
+            return False
+    return not stack
 
 
 def _parser_at(text, index):
@@ -708,6 +742,7 @@ SKIP_WORDS = ["(", ")", "[", "]", "{", "}"] * 3 + [
 @example("{ ( } )".split(), 0)
 @example("{ ( ) [ ] val x".split(), 0)
 @example("val x = { ( ] ) } ; val y".split(), 3)
+@example("( [ ( ] ] )".split(), 0)
 def test_bracket_jumps_stop_where_token_by_token_counting_stops(words, start):
     text = " ".join(words)
     tokens = _lex_all(text)[0]
@@ -715,11 +750,52 @@ def test_bracket_jumps_stop_where_token_by_token_counting_stops(words, start):
     for stops in (_MEMBER_TAIL_STOPS, _PARAM_TAIL_STOPS):
         parser = _parser_at(text, start)
         parser._skip_until(stops)
-        assert parser.tok == tokens[_reference_skip_until(tokens, start, stops)]
-    if tokens[start][0] in ("(", "[", "{"):
+        end, mismatches = _reference_skip(tokens, start, stops)
+        assert (parser.tok, list(parser.reported)) == (tokens[end], mismatches)
+    if tokens[start][0] in _CLOSER_OF:
         parser = _parser_at(text, start)
-        parser._skip_group(tokens[start][0])
-        assert parser.tok == tokens[_reference_skip_group(tokens, start)]
+        parser._skip_group()
+        end, mismatches = _reference_skip(tokens, start + 1, ())
+        if tokens[end][0] == _CLOSER_OF[tokens[start][0]]:
+            end += 1
+        elif tokens[end][2] not in mismatches:  # a closer or eof, reported
+            mismatches.append(tokens[end][2])
+        assert (parser.tok, list(parser.reported)) == (tokens[end], mismatches)
+
+
+#: Where a bracket soup is skipped: a method body, a parameter default, a
+#: type-parameter bound and superclass arguments.
+SKIP_PLACES = [
+    "class A {{ def f = {} ; var y: Int }}",
+    "class A(x: Int = {}, y: Int)",
+    "class A[T <: {}, U]",
+    "class A extends B({}) {{ var y: Int }}",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SKIP_PLACES),
+    st.lists(st.sampled_from(SKIP_WORDS), max_size=30).map(" ".join),
+)
+@example(SKIP_PLACES[0], "{ ( }")
+@example(SKIP_PLACES[1], "( ]")
+@example(SKIP_PLACES[2], "( } )")
+@example(SKIP_PLACES[3], "] [")
+def test_a_parse_without_diagnostics_has_brackets_that_nest(place, soup):
+    text = place.format(soup)
+    if not parse_source("f", text).diagnostics:
+        assert _nests(_lex_all(text)[0]), text
+
+
+def test_a_deep_run_of_mismatches_is_reported_closer_by_closer():
+    # Each ] closes the { just inside it: found innermost first, past none
+    # of the 20,000 open (, which keeps the skip linear.
+    text = "class A { def f = " + "(" * 20_000 + "[{]" * 20_000 + "}"
+    diagnostics = parse_source("f", text).diagnostics
+    assert len(diagnostics) == 20_001
+    assert str(diagnostics[0]) == "f:1:20021: expected '}', got ']'"
+    assert str(diagnostics[-1]) == "f:1:80019: expected ')', got '}'"
 
 
 GROUP_FRAGMENTS = [
@@ -753,18 +829,11 @@ def test_structural_skip_ends_where_counting_ends_or_declines(text):
             assert all(_group_end(text, o, set()) is None for o in unclosed)
             continue
         assert unclosed == set()
-        j = _reference_skip_group(tokens, i)
-        assert tokens[j - 1][2] + 1 == end
-        # Counted per kind the group is one step: every depth returns to
-        # 0 at its closer and none goes below 0 on the way.
-        depth = {"(": 0, "[": 0, "{": 0}
-        for token in tokens[i:j]:
-            if token[0] in depth:
-                depth[token[0]] += 1
-            elif token[0] in _CLOSES:
-                depth[_CLOSES[token[0]]] -= 1
-                assert depth[_CLOSES[token[0]]] >= 0
-        assert not any(depth.values())
+        # The group is one step: the stack skip from inside it reaches its
+        # closer and reports nothing on the way.
+        j, mismatches = _reference_skip(tokens, i + 1, ())
+        assert (tokens[j][0], tokens[j][2] + 1) == (_CLOSER_OF[kind], end)
+        assert mismatches == []
         assert [e for e in errors if offset <= e < end] == []
 
 
