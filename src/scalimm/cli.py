@@ -12,13 +12,24 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .classify import classify_corpus, parse_assumptions
 from .ir import IRError, TemplateGraph, load_ir
-from .parser import parse_corpus
 from .report import build_report, explain, render_explanation, render_report
 
+if TYPE_CHECKING:
+    from .parser import CorpusParse
+
 __all__ = ["main", "run_cli"]
+
+
+def parse_corpus(sources: list[tuple[str, str]]) -> CorpusParse:
+    """``scalimm.parser.parse_corpus``, with the parser imported on the
+    first call, so a run that reads an IR document never loads it."""
+    from . import parser
+
+    return parser.parse_corpus(sources)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:

@@ -104,3 +104,20 @@ def test_a_text_report_never_imports_dataclasses_inspect_or_json(tmp_path):
     )
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 []\n")
     assert (tmp_path / "report.txt").read_bytes() == (GOLDEN / "expected_report.txt").read_bytes()
+
+
+def test_a_run_from_an_ir_document_never_imports_the_parser(tmp_path):
+    """An ``--ir`` run reads no source, so it never loads the frontend."""
+    probe = (
+        "import sys, scalimm.cli; code = scalimm.cli.run_cli(sys.argv[1:]); "
+        "print(code, 'scalimm.parser' in sys.modules)"
+    )
+    argv = ["analyze", str(GOLDEN / "expected_ir.json"), "--ir",
+            "--assume", str(GOLDEN / "assumptions.txt"), "--out", str(tmp_path / "report.txt")]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 False\n")
+    assert (tmp_path / "report.txt").read_bytes() == (GOLDEN / "expected_report.txt").read_bytes()

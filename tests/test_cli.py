@@ -613,6 +613,13 @@ def test_golden_report_is_the_same_on_the_oldest_supported_python(tmp_path):
     assert (as_json.returncode, as_json.stderr) == (0, b"")
     assert as_json.stdout == expected.read_bytes()
 
+    # The same corpus read from its IR document goes through load_ir.
+    ir_argv = ["analyze", str(GOLDEN / "expected_ir.json"), "--ir",
+               "--assume", str(GOLDEN / "assumptions.txt")]
+    from_ir = subprocess.run([exe, "-c", MAIN, *ir_argv], env=env, capture_output=True)
+    assert (from_ir.returncode, from_ir.stderr) == (0, b"")
+    assert from_ir.stdout == (GOLDEN / "expected_report.txt").read_bytes()
+
 
 def test_regenerate_rewrites_the_golden_artifacts_byte_for_byte(tmp_path):
     golden = tmp_path / "golden"
