@@ -10,6 +10,7 @@ traceback).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -199,4 +200,9 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # A run is one short process, and what it builds forms no reference
+    # cycles (argparse and the JSON encoder leave a fixed few), so
+    # reference counting frees it, and the cyclic collector's passes over
+    # the growing graph would find nothing.
+    gc.disable()
     raise SystemExit(run_cli(sys.argv[1:]))

@@ -332,9 +332,7 @@ def _field_from_json(node: object) -> FieldDecl:
         raise exc.within(".type")
 
 
-def _template_from_json(
-    node: object, typeref: Callable[[object], TypeRef], field: Callable[[object], FieldDecl]
-) -> TemplateDef:
+def _template_from_json(node: object) -> TemplateDef:
     node = _object(node, _TEMPLATE_KEYS)
     name = node.get("name")
     if not isinstance(name, str) or not name:
@@ -360,20 +358,36 @@ def _template_from_json(
     fields_node = node.get("fields", [])
     if not isinstance(fields_node, list):
         raise _Invalid("fields must be a list", ".fields")
-    parents = _each(typeref, parents_node, ".parents")
-    fields = _each(field, fields_node, ".fields")
+    parents = _each(_typeref_from_json, parents_node, ".parents")
+    fields = _each(_field_from_json, fields_node, ".fields")
     try:
         return TemplateDef(name, kind, tuple(tp_node), frozenset(at_node), parents, fields)
     except ValueError as exc:
         raise _Invalid(str(exc)) from None
 
 
-def _templates_from_json(
-    root: object, typeref: Callable[[object], TypeRef], field: Callable[[object], FieldDecl]
-) -> list[TemplateDef]:
-    """The templates of a decoded document, each of its type and field
-    nodes taken by ``typeref`` and ``field``.  Raises IRError with the
-    path of the first malformed node."""
+def load_ir(document: bytes | str) -> TemplateGraph:
+    """Parse and validate a serialized template graph.
+
+    Raises IRError with a path into the document for malformed nodes, keys
+    a node does not define (a misspelt key is never silently dropped),
+    types nested deeper than MAX_TYPE_DEPTH, duplicate template names,
+    repeated abstract types (the frozenset would drop the repeat, and the
+    round trip with it), unknown kind strings and template invariant
+    violations.  Externals are recomputed, never trusted from the input.
+    Bytes are decoded as UTF-8 with a leading byte-order mark dropped.
+    """
+    import json  # here, so a run that reads only sources never loads it
+
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise IRError(f"document is not UTF-8: {exc}") from None
+    try:
+        root = json.loads(document)
+    except (ValueError, RecursionError) as exc:  # syntax, huge ints, depth
+        raise IRError(f"invalid JSON: {exc}") from None
     if not isinstance(root, dict):
         raise IRError("expected a top-level object", "$")
     unknown = sorted(root.keys() - {"templates"})
@@ -389,7 +403,7 @@ def _templates_from_json(
     seen: dict[str, int] = {}
     try:
         for i, node in enumerate(templates_node):
-            t = _template_from_json(node, typeref, field)
+            t = _template_from_json(node)
             if t.name in seen:
                 raise IRError(
                     f"duplicate template name {t.name!r} "
@@ -400,131 +414,6 @@ def _templates_from_json(
             templates.append(t)
     except _Invalid as exc:
         raise IRError(exc.message, f"templates[{len(templates)}]{exc.path}") from None
-    return templates
-
-
-def _validated(loads: Callable[[str], object], document: str) -> list[TemplateDef]:
-    """The exact validator: a plain decode, then one check per node.  Raises
-    IRError naming the first malformed node by its path."""
-    try:
-        root = loads(document)
-    except (ValueError, RecursionError) as exc:  # syntax, huge ints, depth
-        raise IRError(f"invalid JSON: {exc}") from None
-    return _templates_from_json(root, _typeref_from_json, _field_from_json)
-
-
-def _node_builder() -> Callable[[dict], object]:
-    """A ``json.loads`` object hook for one load.
-
-    It turns each plainly valid type node into a TypeRef, shared with every
-    equal one built before it, and each plainly valid field node into a
-    FieldDecl.  Children are decoded before their parent, so a node's
-    arguments or type are already built when it is checked, and a type's
-    levels are counted from the bottom.  Any other object, a template or a
-    node with any fault in it, is left as the decoder made it.
-    """
-    # By head for a type without arguments, by the TypeRef itself otherwise.
-    shared: dict[object, TypeRef] = {}
-    # Levels of each shared TypeRef with arguments (one for the others), by
-    # id(): ``shared`` keeps every one of them alive for the load.
-    levels: dict[int, int] = {}
-    public, private = Visibility.PUBLIC, Visibility.PRIVATE
-
-    def build(node: dict) -> object:
-        head = node.get("head")
-        if head is not None:  # {"head": name} or {"head": name, "args": [type, ...]}
-            if type(head) is not str or not head:
-                return node
-            if len(node) == 1:
-                args = None
-            else:
-                args = node.get("args")
-                if len(node) != 2 or type(args) is not list:
-                    return node
-            if not args:
-                ref = shared.get(head)
-                if ref is None:
-                    ref = shared[head] = TypeRef(head)
-                return ref
-            below = 0
-            for arg in args:
-                if type(arg) is not TypeRef:
-                    return node
-                arg_levels = levels.get(id(arg), 1)
-                if arg_levels > below:
-                    below = arg_levels
-            if below >= MAX_TYPE_DEPTH:
-                return node
-            ref = TypeRef(head, tuple(args))
-            found = shared.setdefault(ref, ref)
-            if found is ref:
-                levels[id(ref)] = below + 1
-            return found
-        declared = node.get("type")
-        if type(declared) is TypeRef and len(node) == 4:  # a field
-            name, var, is_private = node.get("name"), node.get("var"), node.get("private")
-            if type(name) is str and name and type(var) is bool and type(is_private) is bool:
-                return FieldDecl(name, var, private if is_private else public, declared)
-        return node
-
-    return build
-
-
-def _built_type(node: object) -> TypeRef:
-    """A parent node that ``_node_builder`` turned into a TypeRef."""
-    if type(node) is not TypeRef:
-        raise _Invalid("not a plainly valid type")
-    return node
-
-
-def _built_field(node: object) -> FieldDecl:
-    """A field node that ``_node_builder`` turned into a FieldDecl."""
-    if type(node) is not FieldDecl:
-        raise _Invalid("not a plainly valid field")
-    return node
-
-
-def _in_one_pass(loads: Callable[..., object], document: str) -> list[TemplateDef] | None:
-    """The templates of a plainly valid document, decoded in one pass with
-    ``_node_builder``, or None where the pass declines."""
-    try:
-        root = loads(document, object_hook=_node_builder())
-        return _templates_from_json(root, _built_type, _built_field)
-    except Exception:  # declined, whatever the cause: the validator names it
-        return None
-
-
-def load_ir(document: bytes | str) -> TemplateGraph:
-    """Parse and validate a serialized template graph.
-
-    Raises IRError with a path into the document for malformed nodes, keys
-    a node does not define (a misspelt key is never silently dropped),
-    types nested deeper than MAX_TYPE_DEPTH, duplicate template names,
-    repeated abstract types (the frozenset would drop the repeat, and the
-    round trip with it), unknown kind strings and template invariant
-    violations.  Externals are recomputed, never trusted from the input.
-    Bytes are decoded as UTF-8 with a leading byte-order mark dropped.
-
-    A document is read in one decoding pass: the decoder's object hook
-    builds every type and field as soon as its node is decoded, and equal
-    types load as one shared TypeRef, so no type or field node outlives
-    its own decode and none is walked a second time.  The pass declines
-    anything not plainly valid, by leaving that node as decoded or by
-    raising; the document is then decoded again, plainly, and the exact
-    validator names the first fault.  So a document the pass declines
-    gives the same error, and one it accepts the same graph, as the
-    validator alone.
-    """
-    import json  # here, so a run that reads only sources never loads it
-
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise IRError(f"document is not UTF-8: {exc}") from None
-    templates = _in_one_pass(json.loads, document)
-    if templates is None:
-        templates = _validated(json.loads, document)
     return build_graph(templates)
 
 

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, formats, IR round trips, diagnostics."""
 
 import contextlib
+import gc
 import glob
 import io
 import json
@@ -634,3 +635,49 @@ def test_regenerate_rewrites_the_golden_artifacts_byte_for_byte(tmp_path):
                  "expected_report.csv", "expected_report.json",
                  "expected_explain.txt", "expected_result.json"):
         assert (golden / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def _cyclic_garbage(argv):
+    """The exit code of an in-process run with the cyclic collector paused,
+    and how many unreachable objects a collection then finds."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(argv)
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_the_cyclic_garbage_of_a_run_does_not_grow_with_its_input(tmp_path):
+    # main() turns the cyclic collector off, so reference counting alone
+    # must free what a run builds.  The cycles a run leaves (argparse's and
+    # the JSON encoder's own) are the same for a corpus 200 times larger.
+    found = {}
+    for n in (10, 2000):
+        good = tmp_path / f"good{n}.scala"
+        good.write_text("\n".join(
+            f"class C{i}(val a: Int) {{ var b: List[Map[Int, C{max(i - 1, 0)}]] = null; "
+            f"def m(x: Int) = {{ x + 1 }} }}" for i in range(n)))
+        broken = tmp_path / f"broken{n}.scala"
+        broken.write_text("\n".join(f"class C{i} {{ val = ) ; def }}" for i in range(n)))
+        document = tmp_path / f"graph{n}.json"
+        document.write_bytes(serialize_ir(parse_corpus([(str(good), good.read_text())]).graph))
+        found[n] = [_cyclic_garbage(["analyze", *argv]) for argv in (
+            [str(good)],
+            [str(good), "--format", "csv"],
+            [str(document), "--ir", "--format", "json"],
+            [str(document), "--ir", "--explain", "C5"],
+            [str(broken)],
+        )]
+    assert [code for code, _ in found[2000]] == [0, 0, 0, 0, 1]
+    assert found[2000] == found[10]
+
+
+def test_main_runs_with_the_cyclic_collector_off():
+    probe = ("import gc, scalimm.cli as c; "
+             "c.run_cli = lambda argv: print(gc.isenabled()) or 0; c.main()")
+    done = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "False\n")

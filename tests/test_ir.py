@@ -8,7 +8,6 @@ from graphgen import make_generic_graph, make_graph
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scalimm import ir
 from scalimm.classify import (
     AttributeKey,
     FieldTypeKind,
@@ -21,7 +20,6 @@ from scalimm.ir import (
     IRError,
     MAX_TYPE_DEPTH,
     TemplateDef,
-    TemplateGraph,
     TemplateKind,
     TypeRef,
     Visibility,
@@ -752,106 +750,13 @@ def test_empty_graph_serializes_to_empty_list():
     assert load_ir(data).templates == {}
 
 
-# ---- one-pass loading -----------------------------------------------------
-
-
-def fallback_runs(monkeypatch):
-    """Record each run of the exact validator ``load_ir`` falls back to."""
-    runs = []
-    validated = ir._validated
-
-    def recorded(*args):
-        runs.append(args)
-        return validated(*args)
-
-    monkeypatch.setattr(ir, "_validated", recorded)
-    return runs
-
-
-def outcome(document):
-    """The loaded graph, or the IRError's text."""
-    try:
-        return load_ir(document)
-    except IRError as exc:
-        return str(exc)
+# ---- loading at scale ----------------------------------------------------
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.booleans())
-def test_generated_graphs_load_in_one_pass(seed, generic):
+def test_generated_graphs_round_trip(seed, generic):
     graph, _ = (make_generic_graph if generic else make_graph)(random.Random(seed))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        runs = fallback_runs(monkeypatch)
-        assert load_ir(serialize_ir(graph)) == graph
-    assert runs == []
-
-
-def single_field(field_type):
-    return doc([{"name": "A", "kind": "class", "fields": [
-        {"name": "f", "var": True, "private": False, "type": field_type}]}])
-
-
-FIELD_NODE = {"name": "f", "var": False, "private": False, "type": {"head": "Int"}}
-
-#: Documents on the edge of what the one pass accepts, with the exact
-#: validator's verdict: None where the document loads, else the IRError.
-ONE_PASS_EDGES = [
-    ("args-absent", single_field({"head": "Int"}), None),
-    ("args-null", single_field({"head": "Int", "args": None}),
-     "templates[0].fields[0].type.args: args must be a list"),
-    ("type-for-template", doc([{"head": "A"}]), "templates[0]: unexpected keys ['head']"),
-    ("field-for-type", doc([{"name": "A", "kind": "class", "parents": [FIELD_NODE]}]),
-     "templates[0].parents[0]: unexpected keys ['name', 'private', 'type', 'var']"),
-    ("field-for-argument", single_field({"head": "P", "args": [FIELD_NODE]}),
-     "templates[0].fields[0].type.args[0]: "
-     "unexpected keys ['name', 'private', 'type', 'var']"),
-    ("depth-100", single_field(nested_type(MAX_TYPE_DEPTH)), None),
-    ("depth-101", single_field(nested_type(MAX_TYPE_DEPTH + 1)),
-     "templates[0].fields[0].type" + ".args[0]" * MAX_TYPE_DEPTH
-     + f": nesting too deep: over {MAX_TYPE_DEPTH} type levels"),
-    ("duplicate-name", doc([{"name": "A", "kind": "class"}, {"name": "A", "kind": "trait"}]),
-     "templates[1].name: duplicate template name 'A' (first defined at templates[0])"),
-    ("byte-order-mark", b"\xef\xbb\xbf" + single_field({"head": "Int"}), None),
-    ("not-utf8", b'{"templates": [{"name": "\xc3\x28"}]}',
-     "document is not UTF-8: 'utf-8' codec can't decode byte 0xc3 in position 25: "
-     "invalid continuation byte"),
-    ("syntax-error", b'{"templates": [{"name": "A", "kind": "class"},]}',
-     "invalid JSON: Expecting value: line 1 column 47 (char 46)"),
-]
-
-
-@pytest.mark.parametrize(
-    "document, expected",
-    [pytest.param(*case[1:], id=case[0]) for case in ONE_PASS_EDGES],
-)
-def test_one_pass_agrees_with_the_exact_validator(document, expected, monkeypatch):
-    runs = fallback_runs(monkeypatch)
-    got = outcome(document)
-    validator_ran = bool(runs)
-    monkeypatch.setattr(ir, "_in_one_pass", lambda *args: None)
-    assert got == outcome(document)
-    if expected is None:
-        assert isinstance(got, TemplateGraph)
-        assert not validator_ran  # loaded by the one pass alone
-    else:
-        assert got == expected
-
-
-def test_equal_types_load_as_one_object():
-    def box():
-        return {"head": "Box", "args": [{"head": "scala.Int", "args": []}]}
-
-    graph = load_ir(doc([
-        {"name": "Box", "kind": "class", "type_params": ["T"]},
-        {"name": "A", "kind": "class", "parents": [box()], "fields": [
-            {"name": "x", "var": False, "private": False, "type": box()},
-            {"name": "y", "var": False, "private": True,
-             "type": {"head": "Map", "args": [{"head": "scala.Int"}, box()]}},
-        ]},
-    ]))
-    a = graph.templates["A"]
-    x, y = (f.declared_type for f in a.fields)
-    assert a.parents[0] is x is y.args[1]
-    assert y.args[0] is x.args[0]
+    assert load_ir(serialize_ir(graph)) == graph
 
 
 def counted_names(n):
