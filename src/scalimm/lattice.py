@@ -62,23 +62,26 @@ class TransferResult(NamedTuple):
 
 
 #: Transfer functions compute a template's verdict from the current
-#: assignment of verdicts to all templates.  They must be monotone in the
-#: assignment and may read it only at names defined in the graph.  The
-#: mapping is the engine's live assignment, not a copy: it is read-only
-#: to the transfer and valid only for the duration of the call.
+#: assignment of verdicts to all templates.  They must be monotone in it
+#: and read it only at ``graph.dependencies[name]``: the engine re-queues
+#: a template only when one of those drops, and keeps its last evaluation
+#: as the evidence.  The mapping is the engine's live assignment, not a
+#: copy: read-only to the transfer and valid only during the call.
 TransferFn = Callable[[TemplateGraph, str, Mapping[str, "Verdict"]], TransferResult]
 
 
 class FixpointResult(NamedTuple):
     """Outcome of a fixpoint run.
 
-    ``evidence`` comes from re-evaluating the transfer function once at
-    the final assignment, so it depends only on the fixpoint reached, not
-    on the order templates were processed.
+    ``evidence`` is each template's last evaluation in the main loop.  A
+    template is re-queued whenever one of its dependencies drops, so that
+    evaluation ran after the last drop of everything it reads and equals
+    an evaluation at the fixpoint: it depends only on the fixpoint
+    reached, not on the order templates were processed.
     ``history`` records each verdict a template has held, from deep
     immutable down, and ``strict_downgrades`` how many times it dropped;
     both are there for audits.  ``recomputations`` counts transfer
-    evaluations in the main loop.
+    evaluations, the only ones the engine makes.
     """
 
     verdicts: dict[str, Verdict]
@@ -100,15 +103,14 @@ def run_fixpoint(graph: TemplateGraph, transfer: TransferFn) -> FixpointResult:
     ``transfer`` receives the engine's one live assignment, which is
     updated in place whenever a verdict drops, so each step costs only the
     transfer itself.  The transfer must not modify the mapping or keep it
-    past the call.  The loop reads only the verdict of each result: the
-    transfer's verdict depends on the assignment alone, so a template
-    whose inputs did not drop would evaluate to the same verdict again.
+    past the call.  Each evaluation's evidence overwrites the template's
+    previous one.  A template none of whose dependencies dropped since
+    would evaluate to the same result again, so the last one kept is the
+    evidence at the fixpoint, and no pass runs after the list drains.
 
-    After the list drains, the transfer function is evaluated once more
-    per template at the final assignment, which gives the evidence.  A
-    verdict that disagrees with the settled one means the transfer
-    function is not monotone, which is a contract violation and raises
-    RuntimeError.
+    Every step checks monotonicity: an evaluation above the template's
+    current verdict means the transfer is not monotone, a contract
+    violation, and raises RuntimeError.
     """
     names = list(graph.templates)
 
@@ -120,7 +122,10 @@ def run_fixpoint(graph: TemplateGraph, transfer: TransferFn) -> FixpointResult:
             dependents[dep].append(name)
 
     verdicts: dict[str, Verdict] = dict.fromkeys(names, Verdict.DEEP_IMMUTABLE)
-    history: dict[str, list[Verdict]] = {n: [Verdict.DEEP_IMMUTABLE] for n in names}
+    history: dict[str, tuple[Verdict, ...]] = dict.fromkeys(
+        names, (Verdict.DEEP_IMMUTABLE,)
+    )
+    evidence: dict[str, tuple] = {}
     worklist: deque[str] = deque(names)
     queued: set[str] = set(names)
     recomputations = 0
@@ -129,32 +134,26 @@ def run_fixpoint(graph: TemplateGraph, transfer: TransferFn) -> FixpointResult:
         name = worklist.popleft()
         queued.discard(name)
 
-        verdict = transfer(graph, name, verdicts).verdict
+        verdict, evidence[name] = transfer(graph, name, verdicts)
         recomputations += 1
 
         if verdict < verdicts[name]:
             verdicts[name] = verdict
-            history[name].append(verdict)
+            history[name] += (verdict,)
             for dep in dependents[name]:
                 if dep not in queued:
                     worklist.append(dep)
                     queued.add(dep)
-
-    evidence: dict[str, tuple] = {}
-    for name in names:
-        result = transfer(graph, name, verdicts)
-        if result.verdict != verdicts[name]:
+        elif verdict > verdicts[name]:
             raise RuntimeError(
-                f"transfer is not monotone: template {name!r} settled at "
-                f"{verdicts[name].name} but reevaluates to {result.verdict.name} "
-                "at the fixpoint"
+                f"transfer is not monotone: template {name!r} at "
+                f"{verdicts[name].name} evaluates to {verdict.name}"
             )
-        evidence[name] = result.evidence
 
     return FixpointResult(
         verdicts=verdicts,
         evidence=evidence,
-        history={n: tuple(h) for n, h in history.items()},
+        history=history,
         strict_downgrades={n: len(h) - 1 for n, h in history.items()},
         recomputations=recomputations,
     )

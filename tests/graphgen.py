@@ -11,8 +11,8 @@ Three oracles compute the greatest fixpoint without the engine loop.
 table lookups; ``naive_fixpoint_oracle`` re-derives it with plain
 dictionaries and no vectorization, as an independent check on the first.
 Both are limited to tiny graphs.  ``kleene_fixpoint`` iterates downward
-from the top in whole rounds, so it scales to graphs of any size and
-also reproduces the engine's evidence.
+from the top in whole rounds, so it scales to graphs of any size; its
+final pass gives the reference evidence that the engine's must equal.
 numpy is a test dependency only; the ``scalimm`` package does not use it.
 ``monomorphize`` textually instantiates every generic use so the
 substitution semantics can be compared against analyzing fully concrete
@@ -230,7 +230,8 @@ def kleene_fixpoint(
     round that changes nothing.  There is no worklist, no dependency
     index and no live assignment, so the result is independent of the
     engine's bookkeeping.  Evidence comes from one final transfer per
-    template at the fixpoint, as the engine defines it.
+    template at the fixpoint.  The engine has no such pass: it keeps each
+    template's last evaluation, and this is the reference that must equal.
     """
     names = list(graph.templates)
     assignment = dict.fromkeys(names, Verdict.DEEP_IMMUTABLE)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,7 @@ def test_attribute_growth_without_a_verdict_drop_requeues_nothing():
     }
     assert result.recomputations == 9
     assert evaluated[: result.recomputations].count("E") == 2
+    assert len(evaluated) == result.recomputations
 
 
 def test_empty_graph_runs_to_empty_result():
@@ -269,6 +271,46 @@ def test_engine_matches_kleene_iteration_on_large_graphs():
             assert (result.verdicts, result.evidence) == expected
 
 
+class _RecordingAssignment(Mapping):
+    """A read-only assignment that records every name it is asked for."""
+
+    def __init__(self, verdicts):
+        self._verdicts = verdicts
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return self._verdicts[name]
+
+    def __iter__(self):
+        return iter(self._verdicts)
+
+    def __len__(self):
+        return len(self._verdicts)
+
+
+def test_transfer_reads_only_dependencies_and_kept_evidence_is_the_fixpoints():
+    # The engine keeps each template's last evaluation as its evidence.
+    # That equals an evaluation at the fixpoint only if the transfer reads
+    # nothing outside ``graph.dependencies[name]``, the names whose drop
+    # re-queues the template, so build_graph's resolution and the
+    # transfer's must agree.
+    rng = random.Random(6150)
+    cases = [make_graph(rng) for _ in range(200)]
+    cases += [make_generic_graph(rng) for _ in range(100)]
+    for graph, assumptions in cases:
+        transfer = make_transfer(assumptions)
+        result = run_fixpoint(graph, transfer)
+        for name in graph.templates:
+            assignment = _RecordingAssignment(result.verdicts)
+            verdict, evidence = transfer(graph, name, assignment)
+            assert assignment.read <= set(graph.dependencies[name]), name
+            assert (verdict, evidence) == (
+                result.verdicts[name],
+                result.evidence[name],
+            )
+
+
 # Dependents are re-queued in an order that must not depend on string
 # hashing.  Small graphs hide a hash-ordered queue (their counts happen to
 # agree); 400 classes with random field types and a few vars do not.
@@ -323,7 +365,7 @@ def _flipping_transfer(graph, name, assignment):
     return TransferResult(value, ())
 
 
-def test_final_sweep_rejects_non_monotone_transfer():
+def test_engine_rejects_non_monotone_transfer():
     graph = build_graph([mk_class("A", fields=[mk_field("self", "A")])])
     with pytest.raises(RuntimeError, match="not monotone"):
         run_fixpoint(graph, _flipping_transfer)
