@@ -2,7 +2,7 @@
 
 A template's verdict is computed from its own declared fields and from the
 verdicts of its parents, with generic types evaluated by substituting the
-supplied type arguments.  Every downgrade below deep immutability is
+supplied type arguments.  Each cause behind a template's verdict is
 recorded once, as an evidence record holding an attribute key (a letter A
 through J) and the parent or field that caused it, so results stay
 explainable; a template's attribute letters are derived from its records.
@@ -52,7 +52,7 @@ class AttributeKey(Enum):
 
     The letter values give the stable report spelling.  The first five
     letters explain mutable verdicts, the last five explain shallow ones;
-    packaged results never mix the two groups under one verdict.
+    a template's evidence never mixes the two groups.
     """
 
     PARENT_ASSUMED_MUTABLE = "A"
@@ -148,6 +148,12 @@ _FIELD_LOWERINGS = {
     FieldTypeKind.ABSTRACT: (Verdict.CONDITIONALLY_DEEP, None),
 }
 
+#: The same for a reassignable field, keyed by its visibility.
+_VAR_LOWERINGS = {
+    Visibility.PUBLIC: (Verdict.MUTABLE, AttributeKey.PUBLIC_VAR),
+    Visibility.PRIVATE: (Verdict.MUTABLE, AttributeKey.PRIVATE_VAR),
+}
+
 #: The same for a parent head that is not conditionally deep.  A parent
 #: head is never abstract: TemplateDef rejects one.
 _PARENT_LOWERINGS = {
@@ -229,34 +235,24 @@ def transfer(
     assumptions: Mapping[str, Verdict] | None = None,
 ) -> TransferResult:
     """Compute one template's verdict and the evidence records that
-    lowered it, one record per cause.
+    explain it, one record per cause.
 
-    Starting from deep immutable, applies in order: declared reassignable
-    fields, parents, declared non-reassignable fields.  Every outcome below
-    deep lowers the verdict to the one ``_PARENT_LOWERINGS`` gives for a
-    parent head, or ``_FIELD_LOWERINGS`` for a field type or a type
-    argument of a conditionally deep parent (the bare parent itself when it
-    has none), and records the attribute the table gives, if any.  A parent
-    head is never abstract in its own scope: TemplateDef rejects that.
-    Objects, case objects and anonymous classes declare no abstract types,
-    so no outcome in their scope is abstract.  Inherited reassignable
-    fields are not re-attributed here; a mutable parent already lowers the
-    child through the parent rule.
+    Causes come in order: declared reassignable fields, which lower through
+    ``_VAR_LOWERINGS`` by visibility; parent heads below deep, through
+    ``_PARENT_LOWERINGS``; then, through ``_FIELD_LOWERINGS``, type
+    arguments of conditionally deep parents (the bare parent itself when it
+    has none) and declared non-reassignable field types below deep.  The
+    verdict is the lowest any cause gives, from deep immutable down, and
+    the evidence holds the attributes of the causes at that verdict, in
+    cause order.  Objects, case objects and anonymous classes declare no
+    abstract types, so no outcome in their scope is abstract.  Inherited
+    reassignable fields are not re-attributed here; a mutable parent
+    already lowers the child through the parent rule.
     """
-    verdict = Verdict.DEEP_IMMUTABLE
-    evidence: list[EvidenceRecord] = []
-    for f in template.fields:
-        if f.reassignable:
-            verdict = Verdict.MUTABLE
-            attr = (
-                AttributeKey.PRIVATE_VAR
-                if f.visibility is Visibility.PRIVATE
-                else AttributeKey.PUBLIC_VAR
-            )
-            evidence.append(EvidenceRecord(attr, f))
-
-    # (table, outcome, cause) for each outcome below deep, in cause order.
-    causes: list[tuple] = []
+    # (table, key, cause) for each cause below deep, in cause order.
+    causes: list[tuple] = [
+        (_VAR_LOWERINGS, f.visibility, f) for f in template.fields if f.reassignable
+    ]
     deep = FieldTypeKind.DEEP
     for parent in template.parents:
         outcome = _evaluate_head(parent, template, assignment, graph, assumptions)
@@ -278,11 +274,14 @@ def transfer(
             if outcome is not deep:
                 causes.append((_FIELD_LOWERINGS, outcome, f))
 
-    for table, outcome, cause in causes:
-        v, attr = table[outcome]
+    verdict = Verdict.DEEP_IMMUTABLE
+    evidence: list[EvidenceRecord] = []
+    for table, key, cause in causes:
+        v, attr = table[key]
         if v < verdict:
             verdict = v
-        if attr is not None:
+            evidence = []
+        if v is verdict and attr is not None:
             evidence.append(EvidenceRecord(attr, cause))
     return TransferResult(verdict, tuple(evidence))
 
@@ -299,7 +298,8 @@ def make_transfer(assumptions: Mapping[str, Verdict] | None = None) -> TransferF
 
 
 class AnalysisResult(NamedTuple):
-    """Classification of a whole corpus.
+    """Classification of a whole corpus: each template's verdict, the
+    records that explain it, and the attribute letters of those records.
 
     Invariants: deep and conditionally deep templates carry no attributes;
     mutable templates carry at least one of A through E, shallow templates
@@ -313,36 +313,21 @@ class AnalysisResult(NamedTuple):
 
 
 def package_result(graph: TemplateGraph, fix: FixpointResult) -> AnalysisResult:
-    """Filter raw fixpoint evidence down to the verdict's own group, derive
-    each template's attributes from the records kept, and check the result
-    invariants.
-
-    The transfer function may report causes from both groups on one
-    template (a reassignable field next to a mutable-typed value field);
-    only the group matching the final verdict explains that verdict.
-    """
+    """Derive each template's attribute letters from its evidence, which
+    the transfer already limits to the causes at its verdict, and check
+    the result invariants."""
     attributes: dict[str, frozenset[AttributeKey]] = {}
-    evidence: dict[str, tuple[EvidenceRecord, ...]] = {}
     for name, verdict in fix.verdicts.items():
-        if verdict is Verdict.MUTABLE:
-            keep = MUTABLE_ATTRIBUTES
-        elif verdict is Verdict.SHALLOW_IMMUTABLE:
-            keep = SHALLOW_ATTRIBUTES
-        else:
-            keep = frozenset()
-        records = tuple(
-            record for record in fix.evidence[name] if record.attribute in keep
-        )
-        evidence[name] = records
+        records = fix.evidence[name]
         attributes[name] = frozenset(record.attribute for record in records)
-        if keep:
+        if verdict <= Verdict.SHALLOW_IMMUTABLE:
             assert records, f"{verdict.name} template {name!r} has no attributes"
         if graph.templates[name].kind in UNPARAMETERIZED_KINDS:
             assert verdict is not Verdict.CONDITIONALLY_DEEP, (
                 f"{graph.templates[name].kind.value} template {name!r} "
                 "classified conditionally deep"
             )
-    return AnalysisResult(dict(fix.verdicts), attributes, evidence)
+    return AnalysisResult(fix.verdicts, attributes, fix.evidence)
 
 
 def classify_corpus(

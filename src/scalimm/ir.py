@@ -123,6 +123,7 @@ class TemplateDef(_TemplateFields):
     Invariants, checked on every construction, ``_make`` and ``_replace``
     included:
 
+    * the name is not ``INFERRED_HEAD``, which stands for a missing type;
     * objects, case objects and anonymous classes carry no type parameters
       and no abstract type members;
     * type parameters are unique and disjoint from abstract_type_members;
@@ -136,6 +137,8 @@ class TemplateDef(_TemplateFields):
 
     def __new__(cls, *args, **kwargs) -> TemplateDef:
         self = super().__new__(cls, *args, **kwargs)
+        if self.name == INFERRED_HEAD:
+            raise ValueError(f"template name {INFERRED_HEAD!r} is reserved")
         if self.kind in UNPARAMETERIZED_KINDS and (
             self.type_params or self.abstract_type_members
         ):

@@ -468,7 +468,7 @@ class _Parser:
                 )
                 self._skip_group()
             else:
-                self._parse_ctor_params(kind, fields if first_list else None)
+                self._parse_ctor_params(kind, fields, first_list)
             first_list = False
 
         parents: list[TypeRef] = []
@@ -521,9 +521,12 @@ class _Parser:
         return tuple(names)
 
     def _parse_ctor_params(
-        self, kind: TemplateKind, fields: list[FieldDecl] | None
+        self, kind: TemplateKind, fields: list[FieldDecl], first_list: bool
     ) -> None:
         self._advance()  # (
+        # A val or var parameter is a field in any list, a bare case-class
+        # parameter only in the first.
+        bare_is_field = first_list and kind is TemplateKind.CASE_CLASS
         if self.tok[0] == ")":
             self._advance()
             return
@@ -551,8 +554,7 @@ class _Parser:
                 self._advance()
                 self._skip_until(_PARAM_TAIL_STOPS)
 
-            is_field = binder is not None or kind is TemplateKind.CASE_CLASS
-            if fields is not None and name_tok is not None and is_field:
+            if name_tok is not None and (binder is not None or bare_is_field):
                 fields.append(
                     FieldDecl(
                         name=name_tok[1],

@@ -14,6 +14,7 @@ from scalimm.classify import (
     classify_corpus,
     evaluate_field_type,
     make_transfer,
+    package_result,
     parse_assumptions,
     transfer,
 )
@@ -28,7 +29,7 @@ from scalimm.ir import (
     Visibility,
     build_graph,
 )
-from scalimm.lattice import Verdict
+from scalimm.lattice import Verdict, run_fixpoint
 
 A = AttributeKey
 
@@ -299,7 +300,7 @@ def test_kind_collapse_turns_abstract_outcomes_into_unknown():
     assert letters(anon) == {A.FIELD_TYPE_UNKNOWN}
 
 
-def test_mixed_var_and_mutable_val_reports_only_mutable_attributes():
+def test_mixed_var_and_mutable_val_records_only_mutable_evidence():
     graph = build_graph(
         [
             mk("Both", fields=[var("a", "scala.Int"), val("b", "M")]),
@@ -311,9 +312,7 @@ def test_mixed_var_and_mutable_val_reports_only_mutable_attributes():
         {"Both": Verdict.MUTABLE, "M": Verdict.MUTABLE},
         graph,
     )
-    # The raw transfer reports causes from both attribute groups.
-    assert letters(raw) == {A.PUBLIC_VAR, A.FIELD_TYPE_MUTABLE}
-    # Packaging filters to the verdict's own group.
+    assert letters(raw) == {A.PUBLIC_VAR}
     result = classify_corpus(graph)
     assert result.verdicts["Both"] is Verdict.MUTABLE
     assert result.attributes["Both"] == {A.PUBLIC_VAR}
@@ -539,7 +538,8 @@ def test_structural_properties_on_random_graphs():
     rng = random.Random(2024)
     for _ in range(150):
         graph, assumptions = make_graph(rng)
-        result = classify_corpus(graph, assumptions)
+        fix = run_fixpoint(graph, make_transfer(assumptions))
+        result = package_result(graph, fix)
         for name, template in graph.templates.items():
             verdict = result.verdicts[name]
             attrs = result.attributes[name]
@@ -557,6 +557,7 @@ def test_structural_properties_on_random_graphs():
             else:
                 assert attrs == frozenset()
             assert {r.attribute for r in result.evidence[name]} == attrs
+            assert result.evidence[name] == fix.evidence[name]
         _declarative_verdict_check(graph, result, assumptions)
         # A graph template's own verdict wins over an assumption for its
         # name, so dropping such assumptions changes nothing.

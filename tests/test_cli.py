@@ -200,6 +200,16 @@ def test_an_unmatched_bracket_in_a_skipped_body_exits_one(tmp_path, capsys):
     )
 
 
+def test_a_var_in_a_second_parameter_list_makes_the_class_mutable(
+    tmp_path, capsys
+):
+    source = tmp_path / "a.scala"
+    source.write_text("class A(val x: Int)(var y: Int)(z: Int)\n", encoding="utf-8")
+    assert run(capsys, ["analyze", source, "--explain", "A"]) == (
+        0, "A: mutable\n  C: reassignable field 'y' is public\n", ""
+    )
+
+
 def test_assumptions_flag_changes_verdicts(tmp_path, capsys):
     source = tmp_path / "keeper.scala"
     source.write_text("class Keeper { val n: Int = 0 }\n", encoding="utf-8")

@@ -106,6 +106,7 @@ def test_duplicate_field_names_rejected():
 
 #: The fields of one template per invariant TemplateDef rejects.
 INVALID_TEMPLATES = {
+    "reserved-name": dict(name=INFERRED_HEAD, kind=TemplateKind.CLASS),
     "object-type-parameter": dict(name="O", kind=TemplateKind.OBJECT, type_params=("T",)),
     "repeated-type-parameter": dict(name="C", kind=TemplateKind.CLASS, type_params=("T", "T")),
     "parameter-and-member": dict(
@@ -563,6 +564,8 @@ LOADER_DIAGNOSTICS = [
     ("kind-missing", deleting(template, "kind"), f"{T}.kind", "kind must be a string"),
     ("kind-int", setting(template, "kind", 3), f"{T}.kind", "kind must be a string"),
     ("kind-unknown", setting(template, "kind", "struct"), f"{T}.kind", "unknown kind 'struct'"),
+    ("name-reserved", setting(template, "name", "$inferred"), T,
+     "template name '$inferred' is reserved"),
     ("type-params-str", setting(template, "type_params", "T"), f"{T}.type_params",
      "type_params must be a list of strings"),
     ("type-params-int", setting(template, "type_params", [1]), f"{T}.type_params",

@@ -80,6 +80,17 @@ def test_plain_class_drops_bare_constructor_parameters():
     assert c.fields[1].reassignable
 
 
+def test_binders_in_later_parameter_lists_are_fields():
+    # A val or var is a field in any list; a bare case-class parameter only
+    # in the first.
+    a, b = parse_ok(
+        "class A(val x: Int)(var y: Int)(z: Int)\n"
+        "case class B(x: Int)(z: Int)(val w: Int)\n"
+    )
+    assert [(f.name, f.reassignable) for f in a.fields] == [("x", False), ("y", True)]
+    assert [(f.name, f.reassignable) for f in b.fields] == [("x", False), ("w", False)]
+
+
 def test_every_kind_is_constructible_from_surface_syntax():
     templates = parse_ok(
         "class A\n"
